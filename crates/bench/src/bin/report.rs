@@ -1240,13 +1240,21 @@ mod ingest {
     //! `POST /v1/ingest`. Per corpus scale it trains a model, serves it
     //! in-process, and times single-article ingests at subject degrees
     //! 0–5 while background clients hammer `/v1/predict` (every one of
-    //! those must come back 200 — ingest never blocks serving). Every
+    //! those must come back 200 — ingest never blocks serving). Each
+    //! degree starts from the freshly loaded model, so degree is never
+    //! mixed up with the history earlier degrees left behind. Every
     //! ingested node's probabilities are then checked against the
     //! honest O(corpus) extended-graph recompute, per degree, against
     //! the documented 1e-5 bound. Across scales, the median ingest
     //! latency of the largest corpus must stay under 4× the smallest —
     //! the measurable form of "ingest cost tracks the neighbourhood,
     //! not the corpus".
+    //!
+    //! History is measured on its own: per scale, a chain of
+    //! [`HISTORY_INGESTS`] single-article ingests through
+    //! `ServeModel::ingest`, whose last [`HISTORY_WINDOW`] must have a
+    //! median within [`HISTORY_GATE`]× of the first — "ingest cost does
+    //! not grow with the ingests before it".
 
     use fd_core::{FakeDetector, FakeDetectorConfig, TrainMode, TrainedFakeDetector};
     use fd_data::{
@@ -1271,6 +1279,12 @@ mod ingest {
     const DELTA_BOUND: f32 = 1e-5;
     const MAX_DEGREE: usize = 5;
     const INGESTS_PER_DEGREE: usize = 8;
+    /// Length of the chained-ingest history run.
+    const HISTORY_INGESTS: usize = 10_000;
+    /// Ingests per end of the history run whose medians are compared.
+    const HISTORY_WINDOW: usize = 1_000;
+    /// Largest allowed last-over-first ratio of those medians.
+    const HISTORY_GATE: f64 = 1.5;
 
     fn round2(v: f64) -> f64 {
         (v * 100.0).round() / 100.0
@@ -1352,6 +1366,67 @@ mod ingest {
     struct ScaleRun {
         json: serde_json::Value,
         median_ingest_ms: f64,
+        history_ratio: f64,
+    }
+
+    /// Max |Δ| between reported `(id, probabilities)` pairs and the full
+    /// recompute's article probabilities.
+    fn max_delta(reported: &[(usize, Vec<f32>)], full: &[Vec<f32>]) -> f32 {
+        let mut max_delta = 0.0f32;
+        for (id, probs) in reported {
+            for (a, b) in probs.iter().zip(&full[*id]) {
+                max_delta = max_delta.max((a - b).abs());
+            }
+        }
+        max_delta
+    }
+
+    /// [`HISTORY_INGESTS`] chained single-article ingests from the
+    /// pristine `model`, each citing the next creator and the next
+    /// subject in turn, timed per `ServeModel::ingest` call. Returns the
+    /// history block and its last-over-first ratio.
+    fn history_run(
+        model: &Arc<ServeModel>,
+        mut reference: Reference<'_>,
+        creators_n: usize,
+        subjects_n: usize,
+    ) -> (serde_json::Value, f64) {
+        let mut current = Arc::clone(model);
+        let mut us = Vec::with_capacity(HISTORY_INGESTS);
+        let mut reported = Vec::with_capacity(HISTORY_INGESTS);
+        for k in 0..HISTORY_INGESTS {
+            let article = IngestArticle {
+                text: format!("follow-up claim {k} disputes the budget and health care record"),
+                creator: k % creators_n,
+                subjects: vec![k % subjects_n],
+            };
+            let batch = IngestBatch { articles: vec![article.clone()], ..IngestBatch::default() };
+            let started = Instant::now();
+            let (next, report) = current.ingest(&batch).expect("history ingest");
+            us.push(started.elapsed().as_secs_f64() * 1e6);
+            let node = &report.articles[0];
+            reported.push((node.id, node.probabilities.clone()));
+            reference.apply_article(&article);
+            current = Arc::new(next);
+        }
+        let delta = max_delta(&reported, &reference.full_recompute_article_probabilities());
+        assert!(
+            delta <= DELTA_BOUND,
+            "history run: max |Δ| {delta} exceeds the documented {DELTA_BOUND} bound"
+        );
+        let first = median(&us[..HISTORY_WINDOW]);
+        let last = median(&us[us.len() - HISTORY_WINDOW..]);
+        let ratio = last / first;
+        let json = serde_json::json!({
+            "ingests": HISTORY_INGESTS,
+            "window": HISTORY_WINDOW,
+            "first_window_ingest_us_p50": round2(first),
+            "last_window_ingest_us_p50": round2(last),
+            "last_over_first": round2(ratio),
+            "gate": HISTORY_GATE,
+            "max_abs_delta_vs_full_recompute": delta,
+        });
+        (json, ratio)
     }
 
     fn scale_run(scale: f64) -> ScaleRun {
@@ -1365,7 +1440,7 @@ mod ingest {
         };
         let tokenized = TokenizedCorpus::build(&corpus, SEQ_LEN, MAX_VOCAB);
         let explicit = ExplicitFeatures::extract(&corpus, &tokenized, &train, EXPLICIT_DIM);
-        let ctx = ExperimentContext {
+        let make_ctx = || ExperimentContext {
             corpus: &corpus,
             tokenized: &tokenized,
             explicit: &explicit,
@@ -1373,6 +1448,7 @@ mod ingest {
             mode: LabelMode::Binary,
             seed,
         };
+        let ctx = make_ctx();
         // Above Table-1 scale, train with the bounded-memory sampled
         // path (the ingest timings do not depend on how the weights
         // were fitted, only on the serving graph's size).
@@ -1399,8 +1475,9 @@ mod ingest {
         );
         let warmup_ms = warmup.elapsed().as_secs_f64() * 1e3;
         let (articles_n, creators_n, subjects_n) = model.corpus_sizes();
+        let model = Arc::new(model);
         let config = ServeConfig { addr: "127.0.0.1:0".into(), ..ServeConfig::default() };
-        let server = Server::start(Arc::new(model), &config).expect("start server");
+        let server = Server::start(Arc::clone(&model), &config).expect("start server");
         let addr = server.local_addr().to_string();
 
         // Background predict hammer: the zero-dropped-requests claim is
@@ -1433,10 +1510,15 @@ mod ingest {
                 })
             })
             .collect();
+        // An ingest takes well under a millisecond, so the whole degree
+        // sweep is short: start it only once the hammers are sending.
+        while sent.load(Ordering::SeqCst) < hammers.len() {
+            assert!(!hammers.iter().any(|h| h.is_finished()), "a predict hammer died before sending");
+            std::thread::sleep(Duration::from_millis(1));
+        }
 
         // Single-article ingests at subject degrees 0..=5 (the creator
         // edge is always present — degree counts the subjects cited).
-        let mut reference = Reference::new(ctx, &trained);
         let mut ingest_client = HttpClient::connect(&addr).expect("connect");
         ingest_client.set_timeout(Duration::from_secs(60)).expect("timeout");
         let mut all_ms: Vec<f64> = Vec::new();
@@ -1448,7 +1530,11 @@ mod ingest {
             reported: Vec<(usize, Vec<f32>)>,
         }
         let mut per_degree: Vec<DegreeSamples> = Vec::new();
+        let mut references: Vec<Reference<'_>> = Vec::new();
         for degree in 0..=MAX_DEGREE {
+            // Each degree starts from the freshly loaded model.
+            server.swap_model(Arc::clone(&model));
+            let mut reference = Reference::new(make_ctx(), &trained);
             let mut samples = DegreeSamples {
                 ms: Vec::new(),
                 attach_us: Vec::new(),
@@ -1483,6 +1569,7 @@ mod ingest {
                 reference.apply_article(&article);
             }
             per_degree.push(samples);
+            references.push(reference);
         }
 
         stop.store(true, Ordering::SeqCst);
@@ -1492,19 +1579,15 @@ mod ingest {
         server.shutdown();
 
         // The delta curve: every ingested article vs the full
-        // extended-graph recompute, grouped by degree.
-        let full = reference.full_recompute_article_probabilities();
+        // extended-graph recompute of its degree's graph.
         let mut overall_delta = 0.0f32;
         let degrees_json: Vec<serde_json::Value> = per_degree
             .iter()
+            .zip(&references)
             .enumerate()
-            .map(|(degree, samples)| {
-                let mut max_delta = 0.0f32;
-                for (id, probs) in &samples.reported {
-                    for (a, b) in probs.iter().zip(&full[*id]) {
-                        max_delta = max_delta.max((a - b).abs());
-                    }
-                }
+            .map(|(degree, (samples, reference))| {
+                let max_delta =
+                    max_delta(&samples.reported, &reference.full_recompute_article_probabilities());
                 assert!(
                     max_delta <= DELTA_BOUND,
                     "degree {degree}: max |Δ| {max_delta} exceeds the documented {DELTA_BOUND} bound"
@@ -1550,6 +1633,8 @@ mod ingest {
             "requests": requests,
             "non_200": failures,
         });
+        let (history, history_ratio) =
+            history_run(&model, Reference::new(make_ctx(), &trained), creators_n, subjects_n);
         let json = serde_json::json!({
             "scale": scale,
             "articles": articles_n,
@@ -1563,8 +1648,9 @@ mod ingest {
             "degrees": degrees_json,
             "max_abs_delta_vs_full_recompute": overall_delta,
             "predict_hammer": hammer_json,
+            "history": history,
         });
-        ScaleRun { json, median_ingest_ms }
+        ScaleRun { json, median_ingest_ms, history_ratio }
     }
 
     pub fn write_report(out_path: &str, scales: &[f64]) {
@@ -1580,6 +1666,12 @@ mod ingest {
                 scales[scales.len() - 1],
             );
         }
+        let history_max = runs.iter().map(|r| r.history_ratio).fold(0.0, f64::max);
+        assert!(
+            history_max <= HISTORY_GATE,
+            "the last {HISTORY_WINDOW} of {HISTORY_INGESTS} chained ingests ran {history_max:.2}× \
+             slower than the first — ingest cost must not grow with ingest history",
+        );
         let report = serde_json::json!({
             "generator": "cargo run --release -p fd-bench --bin report -- ingest",
             "machine_threads": super::machine_threads(),
@@ -1590,6 +1682,8 @@ mod ingest {
             "scales": runs.iter().map(|r| r.json.clone()).collect::<Vec<_>>(),
             "median_ingest_ms_ratio_last_vs_first": round2(ratio),
             "corpus_size_independent": ratio < 4.0,
+            "history_last_over_first_max": round2(history_max),
+            "history_independent": history_max <= HISTORY_GATE,
         });
         let json = serde_json::to_string_pretty(&report).expect("serialise report");
         std::fs::write(out_path, &json).unwrap_or_else(|e| panic!("{out_path}: {e}"));

@@ -4,26 +4,30 @@
 //! frozen corpus ([`TrainedFakeDetector::diffused_states_rounds`]).
 //! When new nodes are attached at runtime (a [`GraphOverlay`] over the
 //! frozen News-HSN), recomputing the whole graph would cost O(corpus)
-//! per ingest. This module instead recomputes only the **affected
-//! neighbourhood** and stores it as a [`StateOverlay`] beside the
-//! untouched base matrices.
+//! per ingest. Each ingest instead takes the previous generation's
+//! [`StateOverlay`] and recomputes only the rows **its own batch**
+//! changes; every other row is carried forward unchanged.
 //!
-//! **Why the affected set is small.** Diffusion starts from zero
-//! states, so a node's *round-1* state is `GDU(x, 0, 0)` — a function
-//! of its own features only (the neighbour mean of zero rows is zero
-//! whatever the adjacency). Attaching nodes therefore never changes any
-//! base node's round-1 state. A base node's round `r ≥ 2` state changes
-//! only if its neighbour list changed (it gained a citing article) or a
-//! neighbour's round `r − 1` state changed. Since only new articles
-//! introduce edges, the affected set at round 2 is exactly the base
-//! creators/subjects cited by the new articles; each further round
-//! grows it by one hop of readers. With the default
-//! `diffusion_rounds = 2`, an ingest recomputes the new nodes plus the
-//! directly cited base nodes — O(payload × degree), independent of
-//! corpus size.
+//! **Which rows a batch changes.** Diffusion starts from zero states,
+//! so a node's *round-1* state is `GDU(x, 0, 0)` — a function of its
+//! own features only (the neighbour mean of zero rows is zero whatever
+//! the adjacency). A row at round `r ≥ 2` changes only if its neighbour
+//! list changed or a neighbour's round `r − 1` row did. Only new
+//! articles introduce edges, so a batch recomputes:
 //!
-//! **Delta update rule.** For each round `r` and each affected or
-//! appended node `v` of slot `τ`:
+//! * its new nodes, at every round (each is HFLU/GRU-encoded once and
+//!   its encoded row is kept for later rounds and later batches);
+//! * from round 2, the existing creators and subjects its articles
+//!   cite — base or ingested earlier — whose neighbour lists grew;
+//! * from round 3, one more hop of readers of the previous round's
+//!   recomputed existing rows per round.
+//!
+//! With the default `diffusion_rounds = 2` that is the new nodes plus
+//! the nodes they cite — O(payload × degree), independent of corpus
+//! size and of how many ingests came before.
+//!
+//! **Delta update rule.** For each round `r` and each recomputed node
+//! `v` of slot `τ`:
 //!
 //! ```text
 //! z_v  = mean_{w ∈ N_z(v)}  view_{r−1}[w]      (combined list: base ++ extras)
@@ -31,59 +35,96 @@
 //! s_v^r = GDU_τ(x_v, z_v, t_v)
 //! ```
 //!
-//! where `view_{r−1}` resolves a row through the previous round's
-//! [`RoundDelta`] (patched base row → appended row → base matrix). The
+//! where `view_{r−1}` resolves a row through this generation's round
+//! `r − 1` [`RoundDelta`] (ingested or patched row → base matrix). The
 //! combined neighbour lists concatenate the base CSR slice with the
 //! overlay extras in ingestion order — the same insertion order a
 //! from-scratch rebuild would use — and the mean replays the exact
 //! `fd_tensor::mean_rows` reduction, so every recomputed row is
 //! bit-identical to [`TrainedFakeDetector::extended_states_rounds`],
 //! the honest O(corpus) recompute over the extended graph with the
-//! *frozen* feature pipeline. (A true retrain re-tokenizes and refits —
+//! *frozen* feature pipeline. A carried-forward row is bit-identical
+//! too, by induction over ingests: its inputs did not change, so
+//! neither did its value. (A true retrain re-tokenizes and refits —
 //! that is the slow path: checkpoint retrain + SIGHUP swap.)
+//!
+//! **Sharing.** Every row store is a [`Chunked`] array, so a new
+//! generation clones its parent in O(1) and copies only the chunks
+//! holding rows it rewrites; older generations keep serving their own
+//! states untouched.
 
 use crate::trained::TrainedFakeDetector;
 use fd_data::ExperimentContext;
-use fd_graph::{GraphOverlay, NeighborSampler, NodeType};
+use fd_graph::{Chunked, GraphOverlay, HetGraph};
 use fd_tensor::Matrix;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
-/// Recomputed rows for one diffusion round: sparse patches over the
-/// base node set plus dense state rows for the appended nodes.
-#[derive(Debug, Clone)]
+/// One stored state or feature row.
+type Row = Arc<[f32]>;
+
+/// One diffusion round's rows that differ from the base history: the
+/// base rows some ingest recomputed and the rows of every ingested
+/// node, keyed by combined index per slot.
+#[derive(Debug, Clone, Default)]
 pub struct RoundDelta {
-    /// Base rows whose state this round's recompute replaced, per slot
-    /// (`BTreeMap` for deterministic enumeration).
-    pub patched: [BTreeMap<usize, Vec<f32>>; 3],
-    /// States of the appended nodes, row `k` = appended node `k` of the
-    /// slot (combined index `base_count + k`).
-    pub appended: [Matrix; 3],
+    rows: [Chunked<Row>; 3],
 }
 
-/// The full per-round delta an ingest produced: one [`RoundDelta`] per
-/// diffusion round, aligned with the base history from
-/// [`TrainedFakeDetector::diffused_states_rounds`].
+/// The ingested generation's per-round states, as overrides of the base
+/// history from [`TrainedFakeDetector::diffused_states_rounds`], plus
+/// the HFLU rows of the ingested nodes. Cloning is O(1) (see the module
+/// docs on sharing).
 #[derive(Debug, Clone)]
 pub struct StateOverlay {
-    /// Element `r` patches the base states after round `r + 1`.
-    pub rounds: Vec<RoundDelta>,
-    /// Largest number of base rows any single round recomputed — the
-    /// affected-neighbourhood size an ingest actually paid for.
-    pub max_affected_base: usize,
+    /// Element `r` overrides the base states after round `r + 1`.
+    rounds: Vec<RoundDelta>,
+    /// HFLU-encoded rows of the ingested nodes per slot; entry `k` is
+    /// ingested node `k` of the slot.
+    encoded: [Chunked<Row>; 3],
 }
 
 impl StateOverlay {
+    fn new(rounds: usize) -> Self {
+        Self { rounds: vec![RoundDelta::default(); rounds], encoded: Default::default() }
+    }
+
+    /// One delta per diffusion round, aligned with the base history.
+    pub fn rounds(&self) -> &[RoundDelta] {
+        &self.rounds
+    }
+
     /// The final round's delta — what serving reads states through.
     pub fn final_round(&self) -> &RoundDelta {
         self.rounds.last().expect("at least one diffusion round")
     }
+
+    /// Ingested node counts per slot, `[articles, creators, subjects]`.
+    fn appended(&self) -> [usize; 3] {
+        std::array::from_fn(|slot| self.encoded[slot].len())
+    }
+}
+
+/// What one [`TrainedFakeDetector::delta_states`] step recomputed. Every
+/// figure is the batch's own: none accumulates across ingests.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeltaCost {
+    /// Largest number of base rows any single round recomputed — the
+    /// affected-neighbourhood size the batch paid for.
+    pub max_affected_base: usize,
+    /// Base rows recomputed, summed over rounds.
+    pub base_rows: usize,
+    /// Ingested-node rows recomputed, summed over rounds: the batch's
+    /// own nodes plus, from round 3, earlier-ingested readers.
+    pub appended_rows: usize,
+    /// Nodes run through HFLU (and so the GRU encoder).
+    pub encoded: usize,
 }
 
 /// A read-only resolver for "current" state rows: base matrices,
 /// optionally overlaid with one round's [`RoundDelta`]. Row lookups
-/// check the patch map first, fall through to the base matrix, and
-/// serve appended nodes (combined index at or beyond the base count)
-/// from the delta's appended rows.
+/// check the delta first (ingested nodes and recomputed base rows) and
+/// fall through to the base matrix.
 #[derive(Clone, Copy)]
 pub struct StateView<'a> {
     base: &'a [Matrix; 3],
@@ -102,10 +143,11 @@ impl<'a> StateView<'a> {
     }
 
     /// Node counts visible through the view, `[articles, creators,
-    /// subjects]` (base + appended).
+    /// subjects]` (base + appended). Ingested rows sit right after the
+    /// base rows, so the delta's highest index bounds the count.
     pub fn counts(&self) -> [usize; 3] {
         std::array::from_fn(|slot| {
-            self.base[slot].rows() + self.delta.map_or(0, |d| d.appended[slot].rows())
+            self.base[slot].rows().max(self.delta.map_or(0, |d| d.rows[slot].len()))
         })
     }
 
@@ -114,18 +156,11 @@ impl<'a> StateView<'a> {
     /// # Panics
     /// Panics when `idx` is beyond [`StateView::counts`] for the slot.
     pub fn row(&self, slot: usize, idx: usize) -> &'a [f32] {
-        let base_rows = self.base[slot].rows();
-        if idx < base_rows {
-            if let Some(delta) = self.delta {
-                if let Some(patch) = delta.patched[slot].get(&idx) {
-                    return patch;
-                }
-            }
-            self.base[slot].row(idx)
-        } else {
-            let delta = self.delta.expect("combined index requires an overlay");
-            delta.appended[slot].row(idx - base_rows)
+        if let Some(row) = self.delta.and_then(|d| d.rows[slot].get(idx)) {
+            return row;
         }
+        assert!(idx < self.base[slot].rows(), "slot {slot} has no row {idx}");
+        self.base[slot].row(idx)
     }
 }
 
@@ -158,14 +193,30 @@ fn mean_into(
     }
 }
 
-/// Shape checks shared by the delta and reference recomputes; returns
-/// the appended node counts per slot.
+/// Combined article list of creator (`slot == 1`) or subject
+/// (`slot == 2`) `idx` as `(base slice, overlay extras)`.
+fn articles_of<'a>(
+    overlay: &'a GraphOverlay,
+    graph: &'a HetGraph,
+    slot: usize,
+    idx: usize,
+) -> (&'a [usize], &'a [usize]) {
+    if slot == 1 {
+        overlay.articles_of_creator(graph, idx)
+    } else {
+        overlay.articles_of_subject(graph, idx)
+    }
+}
+
+/// Checks that `overlay` is anchored to the context's graph and that
+/// the feature inputs describe `expected` nodes per slot.
 fn check_overlay_inputs(
     ctx: &ExperimentContext<'_>,
     overlay: &GraphOverlay,
     new_explicit: &[Matrix; 3],
     new_sequences: &[Vec<Vec<usize>>; 3],
-) -> Result<[usize; 3], String> {
+    expected: [usize; 3],
+) -> Result<(), String> {
     let graph = &ctx.corpus.graph;
     let graph_counts = [graph.n_articles(), graph.n_creators(), graph.n_subjects()];
     if overlay.base_counts() != graph_counts {
@@ -174,52 +225,46 @@ fn check_overlay_inputs(
             overlay.base_counts()
         ));
     }
-    let appended = overlay.appended();
     for slot in 0..3 {
-        if new_explicit[slot].rows() != appended[slot] || new_sequences[slot].len() != appended[slot]
+        if new_explicit[slot].rows() != expected[slot]
+            || new_sequences[slot].len() != expected[slot]
         {
             return Err(format!(
-                "slot {slot}: overlay appends {} nodes but got {} explicit rows / {} sequences",
-                appended[slot],
+                "slot {slot}: expected features of {} new nodes but got {} explicit rows / {} sequences",
+                expected[slot],
                 new_explicit[slot].rows(),
                 new_sequences[slot].len()
             ));
         }
     }
-    Ok(appended)
+    Ok(())
 }
 
 impl TrainedFakeDetector {
-    /// Incremental diffusion for an ingest: recomputes the per-round
-    /// states of the appended nodes and of the affected base
-    /// neighbourhood only, as a [`StateOverlay`] against `base_rounds`
-    /// (the untouched history from
-    /// [`TrainedFakeDetector::diffused_states_rounds`]).
+    /// One incremental diffusion step for an ingested batch: returns the
+    /// states of the generation after the batch, recomputing only the
+    /// rows the batch changes (see the module docs) and carrying every
+    /// other row forward from `prev`, plus what the step recomputed.
     ///
-    /// `new_explicit` / `new_sequences` carry the frozen-pipeline
-    /// features of *all* nodes the overlay appends (cumulative, in
-    /// append order). Every recomputed row is bit-identical to the same
-    /// row of [`TrainedFakeDetector::extended_states_rounds`]; the
-    /// serving layer documents the looser `≤ 1e-5` score bound so the
+    /// `prev` is the generation before the batch (`None` when nothing
+    /// was ingested yet); `overlay` is the graph *after* the batch was
+    /// attached; `new_explicit` / `new_sequences` carry the
+    /// frozen-pipeline features of the batch's own new nodes, in append
+    /// order. `base_rounds` is the untouched history from
+    /// [`TrainedFakeDetector::diffused_states_rounds`]. Every row of the
+    /// result is bit-identical to the same row of
+    /// [`TrainedFakeDetector::extended_states_rounds`]; the serving
+    /// layer documents the looser `≤ 1e-5` score bound so the
     /// implementation keeps the freedom the int8 path already has.
-    ///
-    /// `expansion` optionally caps the frontier: when set, the reader
-    /// expansion of a changed base creator/subject samples at most the
-    /// sampler's fan-out from its base CSR slice ([`NeighborSampler`],
-    /// salted by round). New-node rows stay exact under any cap — the
-    /// directly cited base nodes are always recomputed — the cap only
-    /// bounds how far *base-node* refresh propagates at
-    /// `diffusion_rounds > 2`. `None` (the serving default) recomputes
-    /// the full affected set.
     pub fn delta_states(
         &self,
         ctx: &ExperimentContext<'_>,
         base_rounds: &[[Matrix; 3]],
+        prev: Option<&StateOverlay>,
         overlay: &GraphOverlay,
         new_explicit: &[Matrix; 3],
         new_sequences: &[Vec<Vec<usize>>; 3],
-        expansion: Option<&NeighborSampler>,
-    ) -> Result<StateOverlay, String> {
+    ) -> Result<(StateOverlay, DeltaCost), String> {
         self.check_ctx(ctx);
         let rounds = self.config.diffusion_rounds.max(1);
         if base_rounds.len() != rounds {
@@ -228,161 +273,157 @@ impl TrainedFakeDetector {
                 base_rounds.len()
             ));
         }
-        let new_n = check_overlay_inputs(ctx, overlay, new_explicit, new_sequences)?;
+        let mut next = prev.cloned().unwrap_or_else(|| StateOverlay::new(rounds));
+        if next.rounds.len() != rounds {
+            return Err(format!(
+                "previous states have {} rounds but the model diffuses {rounds}",
+                next.rounds.len()
+            ));
+        }
+        let (had, appended) = (next.appended(), overlay.appended());
+        if (0..3).any(|slot| had[slot] > appended[slot]) {
+            return Err(format!(
+                "previous states cover {had:?} ingested nodes but the overlay appends {appended:?}"
+            ));
+        }
+        let new_n: [usize; 3] = std::array::from_fn(|slot| appended[slot] - had[slot]);
+        check_overlay_inputs(ctx, overlay, new_explicit, new_sequences, new_n)?;
         let graph = &ctx.corpus.graph;
         let base_counts = overlay.base_counts();
+        let counts = overlay.counts();
+        // Combined index of the batch's first new node, per slot.
+        let first_new: [usize; 3] = std::array::from_fn(|slot| counts[slot] - new_n[slot]);
         let hidden = self.config.gdu_hidden;
         let params = &self.network.params;
+        let mut cost = DeltaCost::default();
 
-        // HFLU features of the appended nodes, encoded once from the
-        // frozen vocabulary/χ² pipeline.
-        let x_new: [Option<Matrix>; 3] = std::array::from_fn(|slot| {
-            (new_n[slot] > 0).then(|| {
-                let seq_refs: Vec<&[usize]> =
-                    new_sequences[slot].iter().map(Vec::as_slice).collect();
-                self.network.hflu[slot].encode_raw_batch(
-                    params,
-                    new_explicit[slot].clone(),
-                    &seq_refs,
-                )
-            })
-        });
+        // HFLU rows of the new nodes, encoded once from the frozen
+        // vocabulary/χ² pipeline and kept for every later step.
+        for slot in 0..3 {
+            if new_n[slot] == 0 {
+                continue;
+            }
+            let seq_refs: Vec<&[usize]> = new_sequences[slot].iter().map(Vec::as_slice).collect();
+            let x = self.network.hflu[slot].encode_raw_batch(
+                params,
+                new_explicit[slot].clone(),
+                &seq_refs,
+            );
+            for k in 0..new_n[slot] {
+                next.encoded[slot].push(x.row(k).into());
+            }
+            cost.encoded += new_n[slot];
+        }
 
-        let mut deltas: Vec<RoundDelta> = Vec::with_capacity(rounds);
-        let mut affected_prev: [Vec<usize>; 3] = Default::default();
-        let mut max_affected_base = 0usize;
+        // Existing creators/subjects the batch's articles cite: their
+        // neighbour lists grew.
+        let mut cited: [BTreeSet<usize>; 3] = Default::default();
+        for a in first_new[0]..counts[0] {
+            cited[1].extend(overlay.author_of(graph, a).filter(|&u| u < first_new[1]));
+            cited[2].extend(
+                overlay.subjects_of_article(graph, a).iter().copied().filter(|&s| s < first_new[2]),
+            );
+        }
+
+        // Base HFLU rows are re-encoded per step (no corpus-wide cache),
+        // once each however many rounds recompute them.
+        let mut base_x: [BTreeMap<usize, Row>; 3] = Default::default();
+        // Existing rows the previous round recomputed.
+        let mut changed: [Vec<usize>; 3] = Default::default();
         for r in 1..=rounds {
-            // Base rows to recompute this round. Round 1 states depend
-            // on own features only, so base rows never change there;
-            // from round 2 on, the changed-adjacency set plus one hop
-            // of readers of last round's recomputed rows.
-            let affected: [Vec<usize>; 3] = if r == 1 || !self.config.use_diffusion {
+            let existing: [Vec<usize>; 3] = if r == 1 || !self.config.use_diffusion {
                 Default::default()
             } else {
-                let mut next: [BTreeSet<usize>; 3] = Default::default();
-                next[1].extend(overlay.changed_base_creators());
-                next[2].extend(overlay.changed_base_subjects());
-                let mut buf = Vec::new();
-                for (slot, prev) in affected_prev.iter().enumerate() {
-                    for &i in prev {
+                let mut set = cited.clone();
+                for (slot, idxs) in changed.iter().enumerate() {
+                    for &i in idxs {
                         if slot == 0 {
-                            // Readers of a base article: its author (t
-                            // port) and subjects (z port), all base.
-                            if let Some(u) = graph.author_of(i) {
-                                next[1].insert(u);
-                            }
-                            next[2].extend(graph.subjects_of_article(i).iter().copied());
+                            // Readers of an existing article: its author
+                            // (t port) and subjects (z port).
+                            set[1].extend(overlay.author_of(graph, i));
+                            set[2].extend(overlay.subjects_of_article(graph, i).iter().copied());
                         } else {
-                            // Readers of a base creator/subject: the
-                            // base articles citing it (overlay extras
-                            // are appended nodes, recomputed anyway).
-                            let ty = NodeType::ALL[slot];
-                            let (base_part, _) = if slot == 1 {
-                                overlay.articles_of_creator(graph, i)
-                            } else {
-                                overlay.articles_of_subject(graph, i)
-                            };
-                            match expansion {
-                                Some(sampler) => {
-                                    sampler.sample_list_into(ty, i, base_part, r as u64, &mut buf);
-                                    next[0].extend(buf.iter().copied());
-                                }
-                                None => next[0].extend(base_part.iter().copied()),
-                            }
+                            // Readers of an existing creator/subject: its
+                            // existing articles (the new ones are
+                            // recomputed anyway).
+                            let (base_part, extra) = articles_of(overlay, graph, slot, i);
+                            set[0].extend(
+                                base_part.iter().chain(extra).copied().filter(|&a| a < first_new[0]),
+                            );
                         }
                     }
                 }
-                next.map(|set| set.into_iter().collect())
+                set.map(|ids| ids.into_iter().collect())
             };
-            max_affected_base =
-                max_affected_base.max(affected.iter().map(Vec::len).sum::<usize>());
+            let base_rows: usize = (0..3)
+                .map(|slot| existing[slot].iter().filter(|&&i| i < base_counts[slot]).count())
+                .sum();
+            cost.max_affected_base = cost.max_affected_base.max(base_rows);
+            cost.base_rows += base_rows;
+            cost.appended_rows +=
+                existing.iter().map(Vec::len).sum::<usize>() - base_rows + new_n.iter().sum::<usize>();
 
-            let delta = {
-                // View of the previous round (round 0 is all zeros, and
-                // a mean/gather of zero rows is exactly zero, so round
-                // 1 skips the reads entirely).
-                let prev = (r >= 2)
-                    .then(|| StateView::with_delta(&base_rounds[r - 2], &deltas[r - 2]));
-                let mut patched: [BTreeMap<usize, Vec<f32>>; 3] = Default::default();
-                for (slot, idxs) in affected.iter().enumerate() {
-                    if idxs.is_empty() {
-                        continue;
-                    }
-                    let prev = prev.as_ref().expect("affected rows only exist from round 2");
-                    let x = self.network.hflu[slot].encode_subset(params, ctx, idxs);
-                    let mut z = Matrix::zeros(idxs.len(), hidden);
-                    let mut t_in = Matrix::zeros(idxs.len(), hidden);
-                    for (k, &i) in idxs.iter().enumerate() {
-                        if slot == 0 {
-                            // Base articles never gain neighbours: base
-                            // CSR slices are complete.
-                            mean_into(prev, 2, graph.subjects_of_article(i), &[], z.row_mut(k));
-                            if let Some(u) = graph.author_of(i) {
-                                t_in.row_mut(k).copy_from_slice(prev.row(1, u));
-                            }
-                        } else {
-                            let (base_part, extra) = if slot == 1 {
-                                overlay.articles_of_creator(graph, i)
-                            } else {
-                                overlay.articles_of_subject(graph, i)
-                            };
-                            mean_into(prev, 0, base_part, extra, z.row_mut(k));
-                        }
-                    }
-                    let h = self.network.gdu[slot].forward_matrix(
-                        params,
-                        &x,
-                        &z,
-                        &t_in,
-                        self.config.use_gates,
-                    );
-                    patched[slot] =
-                        idxs.iter().enumerate().map(|(k, &i)| (i, h.row(k).to_vec())).collect();
+            // Round r reads round r − 1 of this generation (round 0 is
+            // all zeros, and a mean/gather of zero rows is exactly zero,
+            // so round 1 skips the reads entirely).
+            let (done, todo) = next.rounds.split_at_mut(r - 1);
+            let prev_view = done
+                .last()
+                .filter(|_| self.config.use_diffusion)
+                .map(|delta| StateView::with_delta(&base_rounds[r - 2], delta));
+            for slot in 0..3 {
+                let idxs: Vec<usize> =
+                    existing[slot].iter().copied().chain(first_new[slot]..counts[slot]).collect();
+                if idxs.is_empty() {
+                    continue;
                 }
-
-                // Appended nodes are recomputed every round.
-                let appended: [Matrix; 3] = std::array::from_fn(|slot| {
-                    let Some(x) = x_new[slot].as_ref() else {
-                        return Matrix::zeros(0, hidden);
+                let missing: Vec<usize> = idxs
+                    .iter()
+                    .copied()
+                    .filter(|&i| i < base_counts[slot] && !base_x[slot].contains_key(&i))
+                    .collect();
+                if !missing.is_empty() {
+                    let m = self.network.hflu[slot].encode_subset(params, ctx, &missing);
+                    for (k, &i) in missing.iter().enumerate() {
+                        base_x[slot].insert(i, m.row(k).into());
+                    }
+                    cost.encoded += missing.len();
+                }
+                let mut x = Matrix::zeros(idxs.len(), self.network.hflu[slot].out_dim());
+                let mut z = Matrix::zeros(idxs.len(), hidden);
+                let mut t_in = Matrix::zeros(idxs.len(), hidden);
+                for (k, &i) in idxs.iter().enumerate() {
+                    let encoded = if i < base_counts[slot] {
+                        &base_x[slot][&i]
+                    } else {
+                        next.encoded[slot].get(i - base_counts[slot]).expect("ingested node encoded")
                     };
-                    let n = new_n[slot];
-                    let mut z = Matrix::zeros(n, hidden);
-                    let mut t_in = Matrix::zeros(n, hidden);
-                    if self.config.use_diffusion {
-                        if let Some(prev) = prev.as_ref() {
-                            for k in 0..n {
-                                let idx = base_counts[slot] + k;
-                                if slot == 0 {
-                                    let subjects = overlay.subjects_of_article(graph, idx);
-                                    mean_into(prev, 2, subjects, &[], z.row_mut(k));
-                                    if let Some(u) = overlay.author_of(graph, idx) {
-                                        t_in.row_mut(k).copy_from_slice(prev.row(1, u));
-                                    }
-                                } else {
-                                    let (base_part, extra) = if slot == 1 {
-                                        overlay.articles_of_creator(graph, idx)
-                                    } else {
-                                        overlay.articles_of_subject(graph, idx)
-                                    };
-                                    mean_into(prev, 0, base_part, extra, z.row_mut(k));
-                                }
-                            }
+                    x.row_mut(k).copy_from_slice(encoded);
+                    let Some(view) = prev_view.as_ref() else { continue };
+                    if slot == 0 {
+                        mean_into(view, 2, overlay.subjects_of_article(graph, i), &[], z.row_mut(k));
+                        if let Some(u) = overlay.author_of(graph, i) {
+                            t_in.row_mut(k).copy_from_slice(view.row(1, u));
                         }
+                    } else {
+                        let (base_part, extra) = articles_of(overlay, graph, slot, i);
+                        mean_into(view, 0, base_part, extra, z.row_mut(k));
                     }
-                    self.network.gdu[slot].forward_matrix(
-                        params,
-                        x,
-                        &z,
-                        &t_in,
-                        self.config.use_gates,
-                    )
-                });
-                RoundDelta { patched, appended }
-            };
-            affected_prev = affected;
-            deltas.push(delta);
+                }
+                let h = self.network.gdu[slot].forward_matrix(
+                    params,
+                    &x,
+                    &z,
+                    &t_in,
+                    self.config.use_gates,
+                );
+                for (k, &i) in idxs.iter().enumerate() {
+                    todo[0].rows[slot].set(i, h.row(k).into());
+                }
+            }
+            changed = existing;
         }
-        Ok(StateOverlay { rounds: deltas, max_affected_base })
+        Ok((next, cost))
     }
 
     /// Reference recompute for the parity gate: the full per-round
@@ -399,7 +440,8 @@ impl TrainedFakeDetector {
         new_sequences: &[Vec<Vec<usize>>; 3],
     ) -> Result<Vec<[Matrix; 3]>, String> {
         self.check_ctx(ctx);
-        let new_n = check_overlay_inputs(ctx, overlay, new_explicit, new_sequences)?;
+        let new_n = overlay.appended();
+        check_overlay_inputs(ctx, overlay, new_explicit, new_sequences, new_n)?;
         let graph = &ctx.corpus.graph;
         let base_counts = overlay.base_counts();
         let counts = overlay.counts();
@@ -545,33 +587,96 @@ mod tests {
         sequences.push(encode_sequence(&tokens, &ctx.tokenized.vocab, ctx.tokenized.seq_len));
     }
 
-    /// An overlay with two articles (one citing a brand-new creator and
-    /// subject, one citing base nodes), plus the matching features.
-    #[allow(clippy::type_complexity)]
-    fn sample_overlay(
+    /// One ingest batch: counts of new creators and subjects (attached
+    /// first), then `(creator, subjects)` per article in combined
+    /// indices.
+    #[derive(Default)]
+    struct Batch {
+        creators: usize,
+        subjects: usize,
+        articles: Vec<(usize, Vec<usize>)>,
+    }
+
+    const WORDS: [&str; 8] =
+        ["budget", "deficit", "medicare", "taxes", "health", "jobs", "border", "economy"];
+
+    fn words(tag: usize) -> String {
+        (0..4).map(|j| WORDS[(tag * 3 + j * 5) % WORDS.len()]).collect::<Vec<_>>().join(" ")
+    }
+
+    /// Explicit-feature rows and token sequences, per slot.
+    type Features = ([Vec<Vec<f32>>; 3], [Vec<Vec<usize>>; 3]);
+
+    /// Attaches `batch` to `overlay` as the server does (creators, then
+    /// subjects, then articles) and returns its nodes' features.
+    fn attach(
         ctx: &fd_data::ExperimentContext<'_>,
-    ) -> (GraphOverlay, [Matrix; 3], [Vec<Vec<usize>>; 3]) {
-        let mut overlay = GraphOverlay::new(&ctx.corpus.graph);
-        let mut explicit: [Vec<Vec<f32>>; 3] = Default::default();
-        let mut sequences: [Vec<Vec<usize>>; 3] = Default::default();
-        let c = overlay.add_creator();
-        featurise(ctx, fd_graph::NodeType::Creator, "a prolific new pundit", &mut explicit[1], &mut sequences[1]);
-        let s = overlay.add_subject();
-        featurise(ctx, fd_graph::NodeType::Subject, "emerging budget controversy", &mut explicit[2], &mut sequences[2]);
-        overlay.add_article(0, &[0, 1]).unwrap();
-        featurise(ctx, fd_graph::NodeType::Article, "fresh claims about the deficit", &mut explicit[0], &mut sequences[0]);
-        overlay.add_article(c, &[s, 0]).unwrap();
-        featurise(ctx, fd_graph::NodeType::Article, "new pundit weighs in on spending", &mut explicit[0], &mut sequences[0]);
-        let dim = ctx.explicit.dim;
-        let explicit = std::array::from_fn(|slot: usize| {
-            let rows: &Vec<Vec<f32>> = &explicit[slot];
-            let mut m = Matrix::zeros(rows.len(), dim);
-            for (k, row) in rows.iter().enumerate() {
+        overlay: &mut GraphOverlay,
+        batch: &Batch,
+        tag: usize,
+    ) -> Features {
+        use fd_graph::NodeType;
+        let mut rows: [Vec<Vec<f32>>; 3] = Default::default();
+        let mut seqs: [Vec<Vec<usize>>; 3] = Default::default();
+        for j in 0..batch.creators {
+            overlay.add_creator();
+            let text = format!("pundit {} {tag}-{j}", words(tag + j));
+            featurise(ctx, NodeType::Creator, &text, &mut rows[1], &mut seqs[1]);
+        }
+        for j in 0..batch.subjects {
+            overlay.add_subject();
+            let text = format!("controversy {}", words(tag + j + 1));
+            featurise(ctx, NodeType::Subject, &text, &mut rows[2], &mut seqs[2]);
+        }
+        for (j, (creator, subjects)) in batch.articles.iter().enumerate() {
+            overlay.add_article(*creator, subjects).unwrap();
+            let text = format!("fresh claims on {} {tag}-{j}", words(tag + 2 * j));
+            featurise(ctx, NodeType::Article, &text, &mut rows[0], &mut seqs[0]);
+        }
+        (rows, seqs)
+    }
+
+    fn to_matrices(rows: &[Vec<Vec<f32>>; 3], dim: usize) -> [Matrix; 3] {
+        std::array::from_fn(|slot| {
+            let mut m = Matrix::zeros(rows[slot].len(), dim);
+            for (k, row) in rows[slot].iter().enumerate() {
                 m.row_mut(k).copy_from_slice(row);
             }
             m
-        });
-        (overlay, explicit, sequences)
+        })
+    }
+
+    /// The base creator and subject with the most articles.
+    fn hubs(ctx: &fd_data::ExperimentContext<'_>) -> (usize, usize) {
+        let g = &ctx.corpus.graph;
+        let hub_c = (0..g.n_creators()).max_by_key(|&u| g.articles_of_creator(u).len()).unwrap();
+        let hub_s = (0..g.n_subjects()).max_by_key(|&s| g.articles_of_subject(s).len()).unwrap();
+        (hub_c, hub_s)
+    }
+
+    /// Batch `k` of the parity chain. It rotates through single
+    /// articles on base nodes, batches that add creators and subjects
+    /// and cite them at once, articles re-citing earlier-ingested
+    /// creators and subjects, and articles on the base hubs.
+    fn chain_batch(overlay: &GraphOverlay, hub: (usize, usize), k: usize) -> Batch {
+        let [_, nc, ns] = overlay.counts();
+        let [_, bc, bs] = overlay.base_counts();
+        let (hub_c, hub_s) = hub;
+        let articles = match k % 5 {
+            0 => vec![(k % bc, vec![k % bs])],
+            // `nc` / `ns` are the ids the batch's own creator and
+            // subject receive.
+            1 => vec![(nc, vec![ns, hub_s]), (hub_c, vec![ns]), (nc, vec![])],
+            2 => vec![
+                (bc + k % (nc - bc), vec![bs + k % (ns - bs), (k * 3) % bs]),
+                (nc - 1, vec![ns - 1]),
+            ],
+            3 => vec![(hub_c, vec![hub_s, (hub_s + 1) % bs]), (k % bc, vec![])],
+            _ => vec![(bc + k % (nc - bc), vec![ns, bs + k % (ns - bs), hub_s])],
+        };
+        // Kind 4's new creator stays isolated: none of its articles cite it.
+        let (creators, subjects) = if matches!(k % 5, 1 | 4) { (1, 1) } else { (0, 0) };
+        Batch { creators, subjects, articles }
     }
 
     fn assert_rows_eq(a: &[f32], b: &[f32], what: &str) {
@@ -591,13 +696,13 @@ mod tests {
         let no_feats: [Matrix; 3] = std::array::from_fn(|_| Matrix::zeros(0, ctx.explicit.dim));
         let no_seqs: [Vec<Vec<usize>>; 3] = Default::default();
 
-        let delta = trained
-            .delta_states(&ctx, &base_rounds, &overlay, &no_feats, &no_seqs, None)
+        let (states, cost) = trained
+            .delta_states(&ctx, &base_rounds, None, &overlay, &no_feats, &no_seqs)
             .unwrap();
-        assert_eq!(delta.max_affected_base, 0);
-        for round in &delta.rounds {
-            assert!(round.patched.iter().all(BTreeMap::is_empty));
-            assert!(round.appended.iter().all(|m| m.rows() == 0));
+        assert_eq!(cost, DeltaCost::default());
+        assert_eq!(states.appended(), [0, 0, 0]);
+        for round in states.rounds() {
+            assert!(round.rows.iter().all(Chunked::is_empty));
         }
 
         let extended =
@@ -612,75 +717,114 @@ mod tests {
         }
     }
 
-    /// The tentpole invariant: every state row visible through the
-    /// delta view — appended, patched, and untouched base rows alike —
-    /// is bit-identical to the full extended-graph recompute, at every
-    /// round. Untouched rows matching proves the affected set is
-    /// *sufficient*, not just that the recomputed rows are right.
+    /// The tentpole invariant, over a chain of batches: after every
+    /// step, every state row visible through the carried-forward
+    /// generation — appended, patched and untouched base rows alike, at
+    /// every round — is bit-identical to the full extended-graph
+    /// recompute. Untouched rows matching proves the per-batch
+    /// recompute set is *sufficient*; matching after many steps proves
+    /// no carried-forward row goes stale.
     #[test]
     fn delta_matches_extended_recompute_bitwise() {
+        const STEPS: usize = 40;
         for rounds in [2usize, 3] {
             let f = fixture();
             let ctx = make_ctx(&f);
             let trained = train_with(&ctx, rounds);
             let base_rounds = trained.diffused_states_rounds(&ctx);
-            let (overlay, new_explicit, new_sequences) = sample_overlay(&ctx);
-
-            let delta = trained
-                .delta_states(&ctx, &base_rounds, &overlay, &new_explicit, &new_sequences, None)
-                .unwrap();
-            let extended = trained
-                .extended_states_rounds(&ctx, &overlay, &new_explicit, &new_sequences)
-                .unwrap();
-            assert!(delta.max_affected_base > 0, "cited base nodes must be recomputed");
-
-            let counts = overlay.counts();
-            for r in 0..rounds {
-                let view = StateView::with_delta(&base_rounds[r], &delta.rounds[r]);
+            let hub = hubs(&ctx);
+            let mut overlay = GraphOverlay::new(&ctx.corpus.graph);
+            let mut all_rows: [Vec<Vec<f32>>; 3] = Default::default();
+            let mut all_seqs: [Vec<Vec<usize>>; 3] = Default::default();
+            let mut states: Option<StateOverlay> = None;
+            let mut patched_any = false;
+            for k in 0..STEPS {
+                let batch = chain_batch(&overlay, hub, k);
+                let (rows, seqs) = attach(&ctx, &mut overlay, &batch, k);
+                let (next, cost) = trained
+                    .delta_states(
+                        &ctx,
+                        &base_rounds,
+                        states.as_ref(),
+                        &overlay,
+                        &to_matrices(&rows, ctx.explicit.dim),
+                        &seqs,
+                    )
+                    .unwrap();
+                patched_any |= cost.max_affected_base > 0;
                 for slot in 0..3 {
-                    for idx in 0..counts[slot] {
-                        assert_rows_eq(
-                            view.row(slot, idx),
-                            extended[r][slot].row(idx),
-                            &format!("rounds={rounds} r={r} slot={slot} idx={idx}"),
-                        );
+                    all_rows[slot].extend(rows[slot].iter().cloned());
+                    all_seqs[slot].extend(seqs[slot].iter().cloned());
+                }
+                let extended = trained
+                    .extended_states_rounds(
+                        &ctx,
+                        &overlay,
+                        &to_matrices(&all_rows, ctx.explicit.dim),
+                        &all_seqs,
+                    )
+                    .unwrap();
+                let counts = overlay.counts();
+                for (r, delta) in next.rounds().iter().enumerate() {
+                    let view = StateView::with_delta(&base_rounds[r], delta);
+                    assert_eq!(view.counts(), counts, "rounds={rounds} step={k} r={r}");
+                    for slot in 0..3 {
+                        for idx in 0..counts[slot] {
+                            assert_rows_eq(
+                                view.row(slot, idx),
+                                extended[r][slot].row(idx),
+                                &format!("rounds={rounds} step={k} r={r} slot={slot} idx={idx}"),
+                            );
+                        }
                     }
                 }
+                states = Some(next);
             }
+            assert!(patched_any, "cited base nodes must be recomputed");
         }
     }
 
-    /// With a fan-out-0 sampler the frontier never expands past the
-    /// directly cited base nodes, yet appended-node rows stay exact:
-    /// their inputs are base round-1 states (never stale) and the
-    /// always-recomputed changed-adjacency rows.
+    /// History independence, on counts rather than a timer: after a
+    /// long chain, a batch recomputes exactly the rows, and encodes
+    /// exactly the nodes, that the same payload costs on a fresh
+    /// overlay — even though the chain cited the same hubs throughout.
     #[test]
-    fn expansion_cap_keeps_appended_rows_exact() {
+    fn step_cost_does_not_grow_with_history() {
+        const CHAIN: usize = 2_000;
         let f = fixture();
         let ctx = make_ctx(&f);
-        let trained = train_with(&ctx, 3);
+        let trained = train_with(&ctx, 2);
         let base_rounds = trained.diffused_states_rounds(&ctx);
-        let (overlay, new_explicit, new_sequences) = sample_overlay(&ctx);
+        let (hub_c, hub_s) = hubs(&ctx);
+        let g = &ctx.corpus.graph;
+        let (bc, bs) = (g.n_creators(), g.n_subjects());
+        // Cites one hub-article pair and two further base nodes; the
+        // chain below keeps citing all of them.
+        let payload = Batch {
+            articles: vec![(hub_c, vec![hub_s, (hub_s + 1) % bs]), (1, vec![1])],
+            ..Batch::default()
+        };
+        let step = |overlay: &mut GraphOverlay, states: Option<&StateOverlay>, batch: &Batch, k| {
+            let (rows, seqs) = attach(&ctx, overlay, batch, k);
+            let x = to_matrices(&rows, ctx.explicit.dim);
+            trained.delta_states(&ctx, &base_rounds, states, overlay, &x, &seqs).unwrap()
+        };
 
-        let sampler = NeighborSampler::new(0, [0, 0, 0]);
-        let capped = trained
-            .delta_states(&ctx, &base_rounds, &overlay, &new_explicit, &new_sequences, Some(&sampler))
-            .unwrap();
-        let uncapped = trained
-            .delta_states(&ctx, &base_rounds, &overlay, &new_explicit, &new_sequences, None)
-            .unwrap();
-        assert!(capped.max_affected_base <= uncapped.max_affected_base);
-        for (r, (c, u)) in capped.rounds.iter().zip(&uncapped.rounds).enumerate() {
-            for slot in 0..3 {
-                for k in 0..c.appended[slot].rows() {
-                    assert_rows_eq(
-                        c.appended[slot].row(k),
-                        u.appended[slot].row(k),
-                        &format!("r={r} slot={slot} appended={k}"),
-                    );
-                }
-            }
+        let (_, fresh) = step(&mut GraphOverlay::new(g), None, &payload, 0);
+        assert!(fresh.max_affected_base > 0 && fresh.appended_rows > 0 && fresh.encoded > 0);
+
+        let mut overlay = GraphOverlay::new(g);
+        let mut states = None;
+        for k in 0..CHAIN {
+            let creator = if k % 2 == 0 { hub_c } else { k % bc };
+            let subjects = if k % bs == hub_s { vec![hub_s] } else { vec![hub_s, k % bs] };
+            let batch = Batch { articles: vec![(creator, subjects)], ..Batch::default() };
+            let (next, cost) = step(&mut overlay, states.as_ref(), &batch, k);
+            assert!(cost.max_affected_base <= 3, "step {k} recomputed {cost:?}");
+            states = Some(next);
         }
+        let (_, chained) = step(&mut overlay, states.as_ref(), &payload, 0);
+        assert_eq!(chained, fresh, "the same payload after {CHAIN} ingests");
     }
 
     /// View-based scoring: requests may cite ingested neighbours, and a
@@ -691,12 +835,24 @@ mod tests {
         let ctx = make_ctx(&f);
         let trained = train_with(&ctx, 2);
         let base_rounds = trained.diffused_states_rounds(&ctx);
-        let (overlay, new_explicit, new_sequences) = sample_overlay(&ctx);
-        let delta = trained
-            .delta_states(&ctx, &base_rounds, &overlay, &new_explicit, &new_sequences, None)
+        let mut overlay = GraphOverlay::new(&ctx.corpus.graph);
+        // A new creator and subject, one article citing base nodes and
+        // one citing the new pair.
+        let [_, nc, ns] = overlay.counts();
+        let batch = Batch { creators: 1, subjects: 1, articles: vec![(0, vec![0, 1]), (nc, vec![ns, 0])] };
+        let (rows, seqs) = attach(&ctx, &mut overlay, &batch, 0);
+        let (states, _) = trained
+            .delta_states(
+                &ctx,
+                &base_rounds,
+                None,
+                &overlay,
+                &to_matrices(&rows, ctx.explicit.dim),
+                &seqs,
+            )
             .unwrap();
         let last = base_rounds.last().unwrap();
-        let view = StateView::with_delta(last, delta.final_round());
+        let view = StateView::with_delta(last, states.final_round());
 
         // A request citing an appended creator/subject validates and
         // scores through the view; the plain base path must reject it.

@@ -41,7 +41,7 @@ pub use checkpoint::FitOptions;
 pub use config::{FakeDetectorConfig, TrainMode};
 pub use gdu::{GduCell, QuantGdu};
 pub use hflu::Hflu;
-pub use incremental::{RoundDelta, StateOverlay, StateView};
+pub use incremental::{DeltaCost, RoundDelta, StateOverlay, StateView};
 pub use model::{FakeDetector, TrainReport};
 pub use trained::{QuantModel, ScoreRequest, TrainedFakeDetector};
 

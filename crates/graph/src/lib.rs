@@ -26,6 +26,7 @@
 //! ```
 
 mod alias;
+mod chunked;
 mod hetgraph;
 mod overlay;
 mod sample;
@@ -33,6 +34,7 @@ mod stats;
 mod walks;
 
 pub use alias::AliasTable;
+pub use chunked::Chunked;
 pub use hetgraph::{HetGraph, NodeRef, NodeType};
 pub use overlay::GraphOverlay;
 pub use sample::NeighborSampler;

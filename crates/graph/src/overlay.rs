@@ -24,6 +24,11 @@
 //!   the combined list reduce in the same sequence and match the
 //!   rebuild bit for bit.
 //!
+//! Every per-node table lives in a [`Chunked`] array, so a clone — the
+//! next serving generation — shares all of them with its parent, and
+//! attaching an article copies only the chunks holding its own entries
+//! and the neighbour lists it extends.
+//!
 //! ```
 //! use fd_graph::{GraphOverlay, HetGraph};
 //!
@@ -41,33 +46,45 @@
 //! assert_eq!(overlay.counts(), [2, 2, 2]);
 //! ```
 
-use crate::HetGraph;
-use std::collections::BTreeMap;
+use crate::{Chunked, HetGraph};
+use std::sync::Arc;
 
 const EMPTY: &[usize] = &[];
 
 /// Appended nodes and edges over a frozen base graph; see the module
-/// docs for the structural invariants.
+/// docs for the structural invariants. Cloning is O(1): the clone
+/// shares every chunk with `self` until one of them writes.
 #[derive(Debug, Clone, Default)]
 pub struct GraphOverlay {
     /// Base node counts captured at construction:
     /// `[articles, creators, subjects]`.
     base: [usize; 3],
     /// Author (combined creator index) of each appended article.
-    new_author: Vec<usize>,
+    new_author: Chunked<usize>,
     /// Subjects (combined indices, ingestion order, no duplicates) of
     /// each appended article.
-    new_subjects: Vec<Vec<usize>>,
+    new_subjects: Chunked<Arc<[usize]>>,
     /// Number of appended creators / subjects.
     new_creators: usize,
     new_subjects_n: usize,
     /// Extra citing articles per combined creator index, appended in
     /// ingestion order. Keys cover base creators that gained edges and
-    /// appended creators alike; a `BTreeMap` keeps enumeration of the
-    /// changed set deterministic.
-    extra_creator_articles: BTreeMap<usize, Vec<usize>>,
+    /// appended creators alike.
+    extra_creator_articles: Chunked<Arc<[usize]>>,
     /// Same, per combined subject index.
-    extra_subject_articles: BTreeMap<usize, Vec<usize>>,
+    extra_subject_articles: Chunked<Arc<[usize]>>,
+}
+
+/// Appends `article` to `node`'s extra list. The list is copied (it is
+/// shared with older generations); its length is the node's overlay
+/// degree, which the next diffusion of `node` reads in full anyway.
+fn push_extra(extras: &mut Chunked<Arc<[usize]>>, node: usize, article: usize) {
+    let list: Arc<[usize]> = list_at(extras, node).iter().copied().chain([article]).collect();
+    extras.set(node, list);
+}
+
+fn list_at(lists: &Chunked<Arc<[usize]>>, index: usize) -> &[usize] {
+    lists.get(index).map_or(EMPTY, |list| &list[..])
 }
 
 impl GraphOverlay {
@@ -136,10 +153,10 @@ impl GraphOverlay {
         }
         let article = self.base[0] + self.new_author.len();
         self.new_author.push(creator);
-        self.new_subjects.push(subjects.to_vec());
-        self.extra_creator_articles.entry(creator).or_default().push(article);
+        self.new_subjects.push(subjects.into());
+        push_extra(&mut self.extra_creator_articles, creator, article);
         for &s in subjects {
-            self.extra_subject_articles.entry(s).or_default().push(article);
+            push_extra(&mut self.extra_subject_articles, s, article);
         }
         Ok(article)
     }
@@ -161,7 +178,7 @@ impl GraphOverlay {
         if article < self.base[0] {
             base.subjects_of_article(article)
         } else {
-            self.new_subjects.get(article - self.base[0]).map_or(EMPTY, Vec::as_slice)
+            list_at(&self.new_subjects, article - self.base[0])
         }
     }
 
@@ -175,8 +192,7 @@ impl GraphOverlay {
     ) -> (&'a [usize], &'a [usize]) {
         let base_part =
             if creator < self.base[1] { base.articles_of_creator(creator) } else { EMPTY };
-        let extra = self.extra_creator_articles.get(&creator).map_or(EMPTY, Vec::as_slice);
-        (base_part, extra)
+        (base_part, list_at(&self.extra_creator_articles, creator))
     }
 
     /// Articles of a combined subject index, same convention as
@@ -188,20 +204,7 @@ impl GraphOverlay {
     ) -> (&'a [usize], &'a [usize]) {
         let base_part =
             if subject < self.base[2] { base.articles_of_subject(subject) } else { EMPTY };
-        let extra = self.extra_subject_articles.get(&subject).map_or(EMPTY, Vec::as_slice);
-        (base_part, extra)
-    }
-
-    /// Base creators whose adjacency changed (gained citing articles),
-    /// ascending. These are exactly the base nodes whose diffused
-    /// states an incremental update must recompute.
-    pub fn changed_base_creators(&self) -> impl Iterator<Item = usize> + '_ {
-        self.extra_creator_articles.keys().copied().take_while(move |&u| u < self.base[1])
-    }
-
-    /// Base subjects whose adjacency changed, ascending.
-    pub fn changed_base_subjects(&self) -> impl Iterator<Item = usize> + '_ {
-        self.extra_subject_articles.keys().copied().take_while(move |&s| s < self.base[2])
+        (base_part, list_at(&self.extra_subject_articles, subject))
     }
 }
 
@@ -232,7 +235,6 @@ mod tests {
         assert_eq!(o.subjects_of_article(&g, 0), &[0, 1]);
         assert_eq!(o.articles_of_creator(&g, 0), (&[0, 1][..], EMPTY));
         assert_eq!(o.articles_of_subject(&g, 1), (&[0, 1][..], EMPTY));
-        assert_eq!(o.changed_base_creators().count(), 0);
     }
 
     #[test]
@@ -248,8 +250,10 @@ mod tests {
         // Extras arrive in ingestion order after the base slice.
         assert_eq!(o.articles_of_creator(&g, 0), (&[0, 1][..], &[3, 4][..]));
         assert_eq!(o.articles_of_subject(&g, 2), (&[2][..], &[3, 4][..]));
-        assert_eq!(o.changed_base_creators().collect::<Vec<_>>(), vec![0]);
-        assert_eq!(o.changed_base_subjects().collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(o.articles_of_subject(&g, 1), (&[0, 1][..], &[3][..]));
+        // Uncited nodes gain nothing.
+        assert_eq!(o.articles_of_creator(&g, 1), (&[2][..], EMPTY));
+        assert_eq!(o.articles_of_subject(&g, 0), (&[0][..], EMPTY));
     }
 
     #[test]
@@ -264,10 +268,9 @@ mod tests {
         assert_eq!(o.articles_of_creator(&g, c), (EMPTY, &[a][..]));
         assert_eq!(o.articles_of_subject(&g, s), (EMPTY, &[a][..]));
         assert_eq!(o.author_of(&g, a), Some(c));
-        // Appended nodes are not base nodes: the changed-base sets stay
-        // limited to indices below the anchor counts.
-        assert_eq!(o.changed_base_creators().count(), 0);
-        assert_eq!(o.changed_base_subjects().count(), 0);
+        // No base node was cited.
+        assert_eq!(o.articles_of_creator(&g, 0), (&[0, 1][..], EMPTY));
+        assert_eq!(o.articles_of_subject(&g, 2), (&[2][..], EMPTY));
     }
 
     #[test]
@@ -278,6 +281,28 @@ mod tests {
         assert!(o.add_article(0, &[7]).unwrap_err().contains("subject 7 out of range"));
         assert!(o.add_article(0, &[1, 1]).unwrap_err().contains("duplicate subject 1"));
         assert!(o.is_empty());
-        assert_eq!(o.changed_base_creators().count(), 0);
+        assert_eq!(o.articles_of_creator(&g, 0), (&[0, 1][..], EMPTY));
+    }
+
+    #[test]
+    fn a_clone_grows_without_touching_its_parent() {
+        let g = base();
+        let mut parent = GraphOverlay::new(&g);
+        let s = parent.add_subject();
+        parent.add_article(0, &[s]).unwrap();
+        let mut child = parent.clone();
+        let c = child.add_creator();
+        child.add_article(0, &[s, 1]).unwrap();
+        child.add_article(c, &[]).unwrap();
+        assert_eq!(child.counts(), [6, 3, 4]);
+        assert_eq!(child.articles_of_creator(&g, 0), (&[0, 1][..], &[3, 4][..]));
+        assert_eq!(child.articles_of_subject(&g, s), (EMPTY, &[3, 4][..]));
+        assert_eq!(child.subjects_of_article(&g, 4), &[s, 1]);
+        // The parent still answers its own, smaller graph.
+        assert_eq!(parent.counts(), [4, 2, 4]);
+        assert_eq!(parent.articles_of_creator(&g, 0), (&[0, 1][..], &[3][..]));
+        assert_eq!(parent.articles_of_subject(&g, s), (EMPTY, &[3][..]));
+        assert_eq!(parent.articles_of_subject(&g, 1), (&[0, 1][..], EMPTY));
+        assert_eq!(parent.author_of(&g, 4), None);
     }
 }

@@ -1,10 +1,14 @@
 //! Property tests on News-HSN invariants: adjacency symmetry, global-id
 //! bijection, walk validity, CSR ↔ edge-list agreement with the
-//! pre-CSR adjacency-map semantics, and neighbour-sampler determinism.
+//! pre-CSR adjacency-map semantics, neighbour-sampler determinism, and
+//! persistence of the chunked arrays ingest generations share.
 
-use fd_graph::{generate_walks, HetGraph, NeighborSampler, NodeRef, NodeType, WalkConfig};
+use fd_graph::{
+    generate_walks, Chunked, HetGraph, NeighborSampler, NodeRef, NodeType, WalkConfig,
+};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::collections::BTreeMap;
 
 /// The pre-CSR `neighbors()` semantics, reimplemented from the relation
 /// accessors as an allocating reference: author port first for articles,
@@ -205,6 +209,37 @@ proptest! {
             // other nodes were sampled in between must be identical.
             sampler.sample_neighbors_into(&g, node, salt, &mut second);
             prop_assert_eq!(&first, &second);
+        }
+    }
+
+    /// A tree of versions, each a clone of a random earlier one plus a
+    /// few writes (pushes, small and far indices): every version must
+    /// keep answering exactly its own writes, whatever its descendants
+    /// wrote into the chunks they shared.
+    #[test]
+    fn chunked_versions_stay_isolated(seed in any::<u64>(), versions in 1usize..24) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut all: Vec<(Chunked<u64>, BTreeMap<usize, u64>)> =
+            vec![(Chunked::default(), BTreeMap::new())];
+        for v in 0..versions {
+            let (mut array, mut model) = all[rng.gen_range(0..all.len())].clone();
+            for w in 0..rng.gen_range(1..6) {
+                let index = match rng.gen_range(0..3) {
+                    0 => array.len(),
+                    1 => rng.gen_range(0..64),
+                    _ => rng.gen_range(0..5_000),
+                };
+                let value = (v * 10 + w) as u64;
+                array.set(index, value);
+                model.insert(index, value);
+            }
+            all.push((array, model));
+        }
+        for (array, model) in &all {
+            prop_assert_eq!(array.len(), model.keys().next_back().map_or(0, |&k| k + 1));
+            for probe in 0..array.len() + 40 {
+                prop_assert_eq!(array.get(probe), model.get(&probe));
+            }
         }
     }
 

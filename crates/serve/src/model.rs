@@ -214,9 +214,11 @@ pub struct IngestReport {
     pub subjects: Vec<IngestedNode>,
     /// Attached articles, batch order.
     pub articles: Vec<IngestedNode>,
-    /// Largest number of *base* nodes any diffusion round recomputed —
-    /// the affected-neighbourhood size (O(payload × degree), not
-    /// O(corpus)).
+    /// Largest number of *base* nodes any diffusion round of this
+    /// batch recomputed: the base creators and subjects its articles
+    /// cite, plus one hop of readers per round beyond the second. It is
+    /// the batch's own figure — O(payload × degree), independent of the
+    /// corpus size and of earlier ingests.
     pub affected_base_nodes: usize,
     /// Diffusion rounds the delta update replayed.
     pub diffusion_rounds: usize,
@@ -262,15 +264,12 @@ impl BaseModel {
     }
 }
 
-/// Ingested nodes layered over a [`BaseModel`]: the overlay adjacency,
-/// the frozen-pipeline features of every appended node (cumulative, in
-/// append order — exactly what `delta_states` consumes), and the
-/// per-round state deltas. Cloning copies appended data only.
-#[derive(Clone)]
+/// Ingested nodes layered over a [`BaseModel`]: the overlay adjacency
+/// and the per-round states. Both are append-only stores of `Arc`'d
+/// chunks, so the next generation shares them with this one and copies
+/// only the chunks its batch writes.
 struct IngestOverlay {
     graph: GraphOverlay,
-    explicit: [Vec<Vec<f32>>; 3],
-    sequences: [Vec<Vec<usize>>; 3],
     states: StateOverlay,
 }
 
@@ -288,14 +287,6 @@ fn type_name(ty: NodeType) -> &'static str {
         NodeType::Creator => "creator",
         NodeType::Subject => "subject",
     }
-}
-
-fn rows_to_matrix(rows: &[Vec<f32>], cols: usize) -> Matrix {
-    let mut m = Matrix::zeros(rows.len(), cols);
-    for (k, row) in rows.iter().enumerate() {
-        m.row_mut(k).copy_from_slice(row);
-    }
-    m
 }
 
 /// A self-contained, thread-shareable serving handle: corpus + feature
@@ -468,13 +459,15 @@ impl ServeModel {
     /// Attaches a batch of new nodes and runs incremental diffusion,
     /// returning a new serving handle plus a report with assigned ids,
     /// scores, and cost counters. `self` is untouched (copy-on-write:
-    /// the base model is shared via `Arc`, only overlay data is
-    /// cloned), so in-flight requests pinned to the old handle are
-    /// unaffected; the caller swaps the new handle into the model slot.
+    /// the base model is shared via `Arc`, the overlay per chunk), so
+    /// in-flight requests pinned to the old handle are unaffected; the
+    /// caller swaps the new handle into the model slot. A batch that
+    /// fails to attach changes nothing.
     ///
     /// Cost scales with the batch's affected neighbourhood (the new
-    /// nodes plus the base creators/subjects they cite, expanded one
-    /// hop per extra diffusion round), **not** with corpus size.
+    /// nodes plus the creators/subjects they cite, expanded one hop per
+    /// extra diffusion round), **not** with corpus size or with the
+    /// number of earlier ingests.
     ///
     /// ```
     /// # use fd_core::{FakeDetector, FakeDetectorConfig};
@@ -522,10 +515,14 @@ impl ServeModel {
         }
         let base = &self.base;
         let attach_start = Instant::now();
-        let (mut graph, mut explicit, mut sequences) = match &self.overlay {
-            Some(o) => (o.graph.clone(), o.explicit.clone(), o.sequences.clone()),
-            None => (GraphOverlay::new(&base.corpus.graph), Default::default(), Default::default()),
+        let mut graph = match &self.overlay {
+            Some(o) => o.graph.clone(),
+            None => GraphOverlay::new(&base.corpus.graph),
         };
+        let dim = base.explicit.dim;
+        let sizes = [batch.articles.len(), batch.creators.len(), batch.subjects.len()];
+        let mut explicit: [Matrix; 3] = std::array::from_fn(|slot| Matrix::zeros(sizes[slot], dim));
+        let mut sequences: [Vec<Vec<usize>>; 3] = Default::default();
         {
             // Featurisation goes through the *frozen* pipeline: the
             // training-time vocabulary and χ² word sets, exactly as base
@@ -534,7 +531,10 @@ impl ServeModel {
             let tokenizer = Tokenizer::default();
             let mut featurise = |slot: usize, ty: NodeType, text: &str| {
                 let tokens = tokenizer.tokenize(text);
-                explicit[slot].push(base.explicit.featurise_tokens(ty, &tokens).row(0).to_vec());
+                let k = sequences[slot].len();
+                explicit[slot]
+                    .row_mut(k)
+                    .copy_from_slice(base.explicit.featurise_tokens(ty, &tokens).row(0));
                 sequences[slot]
                     .push(encode_sequence(&tokens, &base.tokenized.vocab, base.tokenized.seq_len));
             };
@@ -556,25 +556,21 @@ impl ServeModel {
         let attach_us = attach_start.elapsed().as_micros() as u64;
 
         let diffuse_start = Instant::now();
-        let dim = base.explicit.dim;
-        let new_explicit: [Matrix; 3] =
-            std::array::from_fn(|slot| rows_to_matrix(&explicit[slot], dim));
-        let states = base.trained.delta_states(
+        let (states, cost) = base.trained.delta_states(
             &base.ctx(),
             &base.rounds,
+            self.overlay.as_ref().map(|o| &o.states),
             &graph,
-            &new_explicit,
+            &explicit,
             &sequences,
-            None,
         )?;
         let diffuse_us = diffuse_start.elapsed().as_micros() as u64;
 
-        let affected_base_nodes = states.max_affected_base;
         let counts = graph.counts();
-        let diffusion_rounds = states.rounds.len();
+        let diffusion_rounds = states.rounds().len();
         let next = ServeModel {
             base: Arc::clone(&self.base),
-            overlay: Some(IngestOverlay { graph, explicit, sequences, states }),
+            overlay: Some(IngestOverlay { graph, states }),
             precision: self.precision,
             quant: self.quant.clone(),
         };
@@ -590,7 +586,7 @@ impl ServeModel {
             creators: scored(NodeType::Creator, counts[1], batch.creators.len())?,
             subjects: scored(NodeType::Subject, counts[2], batch.subjects.len())?,
             articles: scored(NodeType::Article, counts[0], batch.articles.len())?,
-            affected_base_nodes,
+            affected_base_nodes: cost.max_affected_base,
             diffusion_rounds,
             attach_us,
             diffuse_us,

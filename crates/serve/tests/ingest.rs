@@ -1,10 +1,11 @@
 //! End-to-end tests for `POST /v1/ingest`: attached nodes must score
 //! within the documented delta bound of a full extended-graph
 //! recompute, hostile payloads must map to 4xx without hurting the
-//! server, reloads must restore the pristine bundle, and predict
+//! server, generations sharing one overlay must stay isolated from
+//! each other, reloads must restore the pristine bundle, and predict
 //! traffic must never be dropped while ingests land.
 
-use fd_core::{FakeDetector, FakeDetectorConfig, TrainedFakeDetector};
+use fd_core::{FakeDetector, FakeDetectorConfig, ScoreRequest, TrainedFakeDetector};
 use fd_data::{
     generate, Corpus, CvSplits, ExperimentContext, ExplicitFeatures, GeneratorConfig, LabelMode,
     TokenizedCorpus, TrainSets,
@@ -384,6 +385,126 @@ fn hostile_ingest_payloads_get_4xx_and_never_kill_the_server() {
     };
     let (status, response) = post_ingest(&addr, &batch);
     assert_eq!(status, 200, "{response}");
+    server.shutdown();
+}
+
+/// Every answer a handle gives about its own graph, as raw bits: the
+/// by-id readout of every node, then the inductive `requests`.
+fn answers(model: &ServeModel, requests: &[ScoreRequest]) -> Vec<Vec<u32>> {
+    let (articles, creators, subjects) = model.corpus_sizes();
+    let sizes = [articles, creators, subjects];
+    let bits = |p: Vec<f32>| p.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+    let mut out = Vec::new();
+    for (slot, ty) in NodeType::ALL.into_iter().enumerate() {
+        for id in 0..sizes[slot] {
+            out.push(bits(model.score_node(ty, id).expect("node in range")));
+        }
+    }
+    out.extend(model.score(requests).expect("inductive scores").into_iter().map(bits));
+    out
+}
+
+/// A handle pinned before 200 further ingests answers exactly as it
+/// did: later generations share its chunks but never write them. The
+/// later ingests re-cite base hubs and nodes ingested before the pin,
+/// so they extend neighbour lists and rows the pinned handle reads.
+#[test]
+fn pinned_handle_survives_200_later_ingests_bitwise() {
+    let mut model = build_model();
+    let mut counts = model.corpus_sizes();
+    for tag in 0..3 {
+        let (next, report) = model.ingest(&make_batch(3, counts, tag)).expect("ingest");
+        counts = (report.articles_total, report.creators_total, report.subjects_total);
+        model = Arc::new(next);
+    }
+    let pinned = Arc::clone(&model);
+    let pinned_sizes = pinned.corpus_sizes();
+    let requests: Vec<ScoreRequest> = [(0, vec![0, 1]), (counts.1 - 1, vec![counts.2 - 1, 0])]
+        .into_iter()
+        .map(|(creator, subjects)| {
+            ScoreRequest::article("follow-up on the budget controversy", Some(creator), subjects)
+        })
+        .collect();
+    let before = answers(&pinned, &requests);
+
+    for tag in 3..203 {
+        let mut batch = IngestBatch::default();
+        if tag % 10 == 0 {
+            batch.creators.push(IngestCreator { profile: format!("late pundit {tag}") });
+            batch.subjects.push(IngestSubject { description: format!("late topic {tag}") });
+        }
+        let subjects = vec![(tag * 5) % counts.2, counts.2 - 1 - tag % 2];
+        let subjects = if subjects[0] == subjects[1] { vec![subjects[0]] } else { subjects };
+        batch.articles.push(IngestArticle {
+            text: format!("claim {tag} about medicare and the deficit"),
+            creator: (tag * 7) % counts.1,
+            subjects,
+        });
+        let (next, report) = model.ingest(&batch).expect("ingest");
+        counts = (report.articles_total, report.creators_total, report.subjects_total);
+        model = Arc::new(next);
+    }
+
+    assert_eq!(pinned.corpus_sizes(), pinned_sizes);
+    assert_eq!(model.corpus_sizes(), counts);
+    assert!(counts.0 >= pinned_sizes.0 + 200);
+    assert!(answers(&pinned, &requests) == before, "the pinned handle's answers changed");
+
+    // `affected_base_nodes` is the batch's own figure: after 209
+    // ingests a payload on base nodes costs what it costs fresh.
+    let payload = make_batch(1, model.corpus_sizes(), 999);
+    let (_, fresh) = build_model().ingest(&payload).expect("fresh ingest");
+    let (_, chained) = model.ingest(&payload).expect("chained ingest");
+    assert_eq!(chained.affected_base_nodes, fresh.affected_base_nodes);
+}
+
+/// After successful ingests, a multi-node batch whose *last* article
+/// is invalid is rejected whole: counts, earlier nodes' readouts and
+/// the next assigned id are exactly as before it.
+#[test]
+fn rejected_batch_after_ingests_changes_nothing() {
+    let (server, addr) = start(&ephemeral());
+    let mut counts = build_model().corpus_sizes();
+    let mut ingested: Vec<String> = Vec::new();
+    for tag in 0..3 {
+        let (status, response) = post_ingest(&addr, &make_batch(2, counts, tag));
+        assert_eq!(status, 200, "{response}");
+        let report: IngestReport = serde_json::from_str(&response).expect("report json");
+        counts = (report.articles_total, report.creators_total, report.subjects_total);
+        for (ty, nodes) in
+            [("article", &report.articles), ("creator", &report.creators), ("subject", &report.subjects)]
+        {
+            ingested.extend(nodes.iter().map(|n| format!("{{\"node_type\":\"{ty}\",\"id\":{}}}", n.id)));
+        }
+    }
+    let readouts = |addr: &str| -> Vec<String> {
+        ingested
+            .iter()
+            .map(|body| {
+                let (status, response) = client(addr).post("/v1/predict", body).expect("post");
+                assert_eq!(status, 200, "{response}");
+                response
+            })
+            .collect()
+    };
+    let (_, health_before) = client(&addr).get("/healthz").expect("get");
+    let readouts_before = readouts(&addr);
+
+    // Valid creator, subject and first articles; the last article
+    // cites a subject beyond even the batch's own new one.
+    let mut batch = make_batch(3, counts, 7);
+    batch.articles.last_mut().expect("articles").subjects.push(counts.2 + 5);
+    let (status, response) = post_ingest(&addr, &batch);
+    assert_eq!(status, 400, "{response}");
+    assert!(response.contains("out of range"), "{response}");
+
+    let (_, health_after) = client(&addr).get("/healthz").expect("get");
+    assert_eq!(health_after, health_before);
+    assert!(readouts(&addr) == readouts_before, "an earlier node's readout changed");
+    let (status, response) = post_ingest(&addr, &make_batch(1, counts, 8));
+    assert_eq!(status, 200, "{response}");
+    let report: IngestReport = serde_json::from_str(&response).expect("report json");
+    assert_eq!(report.articles[0].id, counts.0, "the rejected batch consumed ids");
     server.shutdown();
 }
 

@@ -11,8 +11,9 @@
 # 4. SIGHUP must discard the ingested overlay (the fast path is a cache
 #    over the frozen bundle) and ingestion must work again after it.
 # 5. The in-process ingest benchmark runs at a tiny scale, which
-#    self-asserts the delta-vs-full-recompute bound and that no predict
-#    was dropped.
+#    self-asserts the delta-vs-full-recompute bound, that no predict
+#    was dropped, and that the last 1,000 of 10,000 chained ingests
+#    run within 1.5x of the first 1,000.
 #
 # Usage: scripts/ingest_smoke.sh
 #
@@ -172,10 +173,14 @@ kill -TERM "$server_pid"
 wait "$server_pid" 2>/dev/null || true
 server_pid=""
 
-echo "==> small-scale ingest benchmark (delta bound + latency gates)" >&2
+echo "==> small-scale ingest benchmark (delta bound + latency and history gates)" >&2
 cargo run --release -p fd-bench --bin report -- ingest "$work/BENCH_ingest_ci.json" 0.05
 grep -q '"corpus_size_independent": true' "$work/BENCH_ingest_ci.json" || {
     echo "ingest_smoke.sh: benchmark report missing the independence gate" >&2
+    exit 1
+}
+grep -q '"history_independent": true' "$work/BENCH_ingest_ci.json" || {
+    echo "ingest_smoke.sh: benchmark report missing the history gate" >&2
     exit 1
 }
 
