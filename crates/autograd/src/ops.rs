@@ -3,6 +3,7 @@
 use crate::tape::{accumulate, Node, Op, RowAccum, Tape, Var};
 use fd_tensor::{softmax_in_place, Matrix};
 use std::rc::Rc;
+use std::sync::Arc;
 
 impl Tape {
     /// Matrix product `a · b`.
@@ -217,11 +218,11 @@ impl Tape {
     ///
     /// # Panics
     /// Panics when a listed index is out of range.
-    pub fn mean_rows(&self, src: Var, lists: Rc<Vec<Vec<usize>>>) -> Var {
+    pub fn mean_rows(&self, src: Var, lists: Arc<Vec<Vec<usize>>>) -> Var {
         let value = {
             let nodes = self.nodes.borrow();
-            // Borrow the slice out of the Rc so the closure is Sync and
-            // the kernel may fan rows across threads.
+            // Borrow the slice so the row kernel may fan rows across
+            // threads.
             let l: &[Vec<usize>] = &lists;
             fd_tensor::mean_rows(&nodes[src.0 as usize].value, l.len(), |i| l[i].as_slice())
         };
@@ -710,7 +711,7 @@ mod tests {
     fn mean_rows_matches_mean_n_bitwise_and_handles_empties() {
         let t = Tape::new();
         let src = t.leaf(Matrix::from_rows(&[&[0.1, 0.7], &[-0.3, 0.2], &[0.9, -0.5]]));
-        let lists = std::rc::Rc::new(vec![vec![0usize, 2, 1], vec![], vec![2]]);
+        let lists = std::sync::Arc::new(vec![vec![0usize, 2, 1], vec![], vec![2]]);
         let m = t.mean_rows(src, lists);
         // Per-node reference: mean_n over embed_row views of the same rows.
         let rows: Vec<_> = (0..3).map(|r| t.embed_row(src, r)).collect();
@@ -727,7 +728,7 @@ mod tests {
     fn mean_rows_backward_distributes_share() {
         let t = Tape::new();
         let src = t.leaf(Matrix::from_rows(&[&[2.0], &[4.0]]));
-        let lists = std::rc::Rc::new(vec![vec![0usize, 1]]);
+        let lists = std::sync::Arc::new(vec![vec![0usize, 1]]);
         let m = t.mean_rows(src, lists); // [3.0]
         let loss = t.square_norm(m); // 9
         t.backward(loss);
@@ -839,7 +840,7 @@ mod tests {
                 use crate::RowAccum::{Add, Start};
                 let (s, o) = (v[0], v[1]);
                 let gathered = t.gather_rows(s, &[Some(2), None, Some(0)]);
-                let lists = std::rc::Rc::new(vec![vec![0usize, 1], vec![2], vec![]]);
+                let lists = std::sync::Arc::new(vec![vec![0usize, 1], vec![2], vec![]]);
                 let mixed = t.mean_rows(o, lists);
                 let masked = t.mask_rows(gathered, mixed, &[true, false, true]);
                 let pooled = t.accum_rows(masked, o, &[Add, Start, Add]);

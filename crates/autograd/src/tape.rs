@@ -3,6 +3,7 @@
 use fd_tensor::Matrix;
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// A handle to a value recorded on a [`Tape`].
 ///
@@ -59,7 +60,7 @@ pub(crate) enum Op {
     /// Batched neighbour mean: output row `i` averages the `lists[i]`
     /// rows of `src` (the diffusion aggregator over graph adjacency);
     /// empty lists yield zero rows.
-    MeanRows { src: Var, lists: Rc<Vec<Vec<usize>>> },
+    MeanRows { src: Var, lists: Arc<Vec<Vec<usize>>> },
     /// Vertical stack `[a; b]` (same column count).
     ConcatRows(Var, Var),
     /// Per-row selection between two same-shaped values: output row `i`

@@ -53,14 +53,6 @@ pub struct RnnBaseline {
     pub config: RnnConfig,
 }
 
-fn head_slot(ty: NodeType) -> usize {
-    match ty {
-        NodeType::Article => 0,
-        NodeType::Creator => 1,
-        NodeType::Subject => 2,
-    }
-}
-
 impl CredibilityModel for RnnBaseline {
     fn name(&self) -> &'static str {
         "rnn"
@@ -97,7 +89,7 @@ impl CredibilityModel for RnnBaseline {
                     .iter()
                     .map(|&(ty, idx, target)| {
                         let latent = encoder.encode(&binding, ctx.tokenized.sequence(ty, idx));
-                        let logits = heads[head_slot(ty)].forward(&binding, latent);
+                        let logits = heads[ty.slot()].forward(&binding, latent);
                         tape.softmax_cross_entropy(logits, target)
                     })
                     .collect();
@@ -120,7 +112,7 @@ impl CredibilityModel for RnnBaseline {
                 let binding = Binding::new(&tape, &params);
                 for (idx, slot) in out.iter_mut().enumerate().take(chunk_end).skip(chunk_start) {
                     let latent = encoder.encode(&binding, ctx.tokenized.sequence(ty, idx));
-                    let logits = heads[head_slot(ty)].forward(&binding, latent);
+                    let logits = heads[ty.slot()].forward(&binding, latent);
                     *slot = tape.with_value(logits, |m| m.row_argmax(0).index);
                 }
             }

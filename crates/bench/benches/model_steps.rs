@@ -44,34 +44,25 @@ fn bench_models(c: &mut Criterion) {
     });
     group.finish();
 
-    // Training: one full-graph epoch, the per-node reference tape vs the
-    // batched matrix-level graph. Both produce bit-comparable losses;
-    // the spread is the tentpole batching win.
+    // Training: one full-graph epoch, serial and at four threads. Both
+    // produce bit-identical losses.
     let mut group = c.benchmark_group("model_epoch_tiny");
     group.sample_size(10);
-    let epoch_config = |batched| FakeDetectorConfig {
+    let model = FakeDetector::new(FakeDetectorConfig {
         epochs: 1,
         validation_fraction: 0.0,
-        batched_training: batched,
         ..FakeDetectorConfig::default()
-    };
-    group.bench_function("per_node_tape", |bench| {
-        let model = FakeDetector::new(epoch_config(false));
-        bench.iter(|| black_box(model.fit(&ctx).report().losses.len()))
     });
     group.bench_function("batched_1t", |bench| {
-        let model = FakeDetector::new(epoch_config(true));
         bench.iter(|| with_thread_count(1, || black_box(model.fit(&ctx).report().losses.len())))
     });
     group.bench_function("batched_4t", |bench| {
-        let model = FakeDetector::new(epoch_config(true));
         bench.iter(|| with_thread_count(4, || black_box(model.fit(&ctx).report().losses.len())))
     });
     group.finish();
 
-    // Inference: the per-node tape replay against the batched tape-free
-    // path, serial and at four threads. These return identical
-    // predictions; the spread is pure kernel/batching win.
+    // Inference: the tape-free forward, serial and at four threads.
+    // These return identical predictions.
     let trained = FakeDetector::new(FakeDetectorConfig {
         epochs: 1,
         ..FakeDetectorConfig::default()
@@ -79,9 +70,6 @@ fn bench_models(c: &mut Criterion) {
     .fit(&ctx);
     let mut group = c.benchmark_group("model_predict_tiny");
     group.sample_size(10);
-    group.bench_function("per_node_tape", |bench| {
-        bench.iter(|| black_box(trained.predict_per_node(&ctx).articles.len()))
-    });
     group.bench_function("batched_1t", |bench| {
         bench.iter(|| with_thread_count(1, || black_box(trained.predict(&ctx).articles.len())))
     });

@@ -6,13 +6,13 @@
 //!   renders the `results/*.json` sweep outputs as the markdown tables
 //!   EXPERIMENTS.md embeds.
 //! * `cargo run --release -p fd-bench --bin report -- tensor [out.json]`
-//!   times the tensor kernels and a full model inference step —
-//!   seed-era naive kernels vs the blocked serial kernels vs the
-//!   row-parallel path — and writes the numbers to `BENCH_tensor.json`.
+//!   times the tensor kernels — seed-era naive kernels vs the blocked
+//!   serial kernels vs the row-parallel path — and a full model
+//!   inference step across `FD_THREADS`, and writes the numbers to
+//!   `BENCH_tensor.json`.
 //! * `cargo run --release -p fd-bench --bin report -- train [out.json] [scale] [sweep_scales]`
-//!   times full training epochs at Table-1 scale (default `scale` 1.0) —
-//!   the per-node reference tape vs the batched matrix-level graph at
-//!   `FD_THREADS` 1 and 4 — then runs one neighbour-sampled epoch at
+//!   times full training epochs at Table-1 scale (default `scale` 1.0)
+//!   across `FD_THREADS` {1,2,4,8} — then runs one neighbour-sampled epoch at
 //!   each comma-separated corpus scale in `sweep_scales` (default
 //!   `0.1,1,8`; pass `""` to skip), recording articles, epoch
 //!   wall-clock and per-run peak RSS, and writes `BENCH_train.json`.
@@ -257,8 +257,8 @@ fn print_markdown(results: &SweepResults) {
 }
 
 mod train {
-    //! The `train` mode: full training-epoch timings at Table-1 scale,
-    //! batched matrix-level graph vs the per-node reference tape.
+    //! The `train` mode: full training-epoch timings at Table-1 scale
+    //! across `FD_THREADS`, plus the sampled scale sweep.
 
     use fd_bench::{prepare, SweepConfig};
     use fd_core::{FakeDetector, FakeDetectorConfig, TrainMode};
@@ -280,13 +280,11 @@ mod train {
     fn epoch_times(
         ctx: &ExperimentContext<'_>,
         epochs: usize,
-        batched: bool,
         threads: usize,
     ) -> (Vec<f64>, Vec<f32>) {
         let config = FakeDetectorConfig {
             epochs,
             validation_fraction: 0.0,
-            batched_training: batched,
             ..FakeDetectorConfig::default()
         };
         parallel::with_thread_count(threads, || {
@@ -386,15 +384,14 @@ mod train {
         };
 
         let epochs = 3;
-        let (per_node_ms, _) = epoch_times(&ctx, epochs, false, 1);
 
-        // FD_THREADS sweep over the batched trainer. Identical loss
+        // FD_THREADS sweep over the trainer. Identical loss
         // curves at every width are the deterministic-runtime contract;
         // a benchmark that traded answers for speed must fail loudly.
         let mut sweep = Vec::new();
         let mut serial_losses: Option<Vec<f32>> = None;
         for &threads in &super::SWEEP_WIDTHS {
-            let (ms, losses) = epoch_times(&ctx, epochs, true, threads);
+            let (ms, losses) = epoch_times(&ctx, epochs, threads);
             match &serial_losses {
                 None => serial_losses = Some(losses),
                 Some(reference) => {
@@ -414,14 +411,13 @@ mod train {
         let batched_serial_ms = sweep[0].2.clone();
         let batched_4t_ms = sweep[2].2.clone();
         let scaling: Vec<(usize, f64)> = sweep.iter().map(|&(t, m, _)| (t, m)).collect();
-        let (per_node, serial, four_t) = (median(&per_node_ms), scaling[0].1, scaling[2].1);
+        let (serial, four_t) = (scaling[0].1, scaling[2].1);
 
         fd_obs::event(
             fd_obs::Level::Info,
             "bench.model_train",
             &[
                 ("articles", prepared.corpus.articles.len().into()),
-                ("per_node_epoch_ms", per_node.into()),
                 ("batched_serial_epoch_ms", serial.into()),
                 ("batched_parallel_4t_epoch_ms", four_t.into()),
             ],
@@ -446,16 +442,12 @@ mod train {
             "creators": prepared.corpus.creators.len(),
             "subjects": prepared.corpus.subjects.len(),
             "epochs_timed": epochs,
-            "per_node_epoch_ms": per_node_ms.iter().map(|&v| round2(v)).collect::<Vec<_>>(),
             "batched_serial_epoch_ms":
                 batched_serial_ms.iter().map(|&v| round2(v)).collect::<Vec<_>>(),
             "batched_parallel_4t_epoch_ms":
                 batched_4t_ms.iter().map(|&v| round2(v)).collect::<Vec<_>>(),
-            "median_per_node_epoch_ms": round2(per_node),
             "median_batched_serial_epoch_ms": round2(serial),
             "median_batched_parallel_4t_epoch_ms": round2(four_t),
-            "speedup_batched_serial_vs_per_node": round2(per_node / serial),
-            "speedup_batched_4t_vs_per_node": round2(per_node / four_t),
             "thread_scaling": super::scaling_curve(&scaling),
             "losses_bit_identical_across_widths": true,
             "scale_sweep": scale_sweep,
@@ -629,6 +621,28 @@ mod serve {
         })
     }
 
+    /// A histogram's running totals, for scoping it to one phase.
+    struct HistTotals {
+        count: u64,
+        sum: f64,
+        buckets: Vec<u64>,
+    }
+
+    impl HistTotals {
+        fn of(hist: &fd_obs::Histogram) -> Self {
+            Self { count: hist.count(), sum: hist.sum(), buckets: hist.bucket_counts() }
+        }
+
+        /// What was recorded after `earlier` was taken.
+        fn since(&self, earlier: &Self) -> Self {
+            Self {
+                count: self.count - earlier.count,
+                sum: self.sum - earlier.sum,
+                buckets: self.buckets.iter().zip(&earlier.buckets).map(|(a, b)| a - b).collect(),
+            }
+        }
+    }
+
     /// Replays every body from `clients` concurrent keep-alive
     /// connections and asserts each response matches `reference`.
     /// Returns (wall-clock seconds, max latency ms); when
@@ -712,7 +726,25 @@ mod serve {
         // connections at once. First with tracing off — the numbers the
         // report headlines — then the identical pass again with
         // FD_TRACE on at sample 1 to price the tracing hot path.
+        //
+        // The server's batch histograms also count the sequential and
+        // traced passes, so the headline batching figures are deltas
+        // taken around the untraced pass alone. (First registration
+        // wins in fd-obs and the server registered these before any
+        // request ran, so the placeholder bounds never take effect.)
+        let batch_hist = fd_obs::histogram("serve.batch_size", &[1.0]);
+        let wait_hist = fd_obs::histogram("serve.queue_wait_us", &[1.0]);
+        let batch_before = HistTotals::of(batch_hist);
+        let wait_before = HistTotals::of(wait_hist);
         let (wall_s, max_ms) = concurrent_pass(&addr, &bodies, &reference, clients, per_client, true);
+        let batches = HistTotals::of(batch_hist).since(&batch_before);
+        let waits = HistTotals::of(wait_hist).since(&wait_before);
+        assert_eq!(
+            batches.sum,
+            total as f64,
+            "the measured pass's batch sizes must sum to its {total} requests"
+        );
+        assert_eq!(waits.count, total as u64, "one queue wait per measured request");
 
         fd_obs::trace::set_enabled(true);
         fd_obs::trace::set_sample(1);
@@ -725,12 +757,6 @@ mod serve {
         let draining = Instant::now();
         server.shutdown();
         let shutdown_ms = draining.elapsed().as_secs_f64() * 1e3;
-        // First registration wins in fd-obs, and the server registered
-        // these before any request ran, so the placeholder bounds here
-        // never take effect.
-        let batch_hist = fd_obs::histogram("serve.batch_size", &[1.0]);
-        let wait_hist = fd_obs::histogram("serve.queue_wait_us", &[1.0]);
-        let batch_count = batch_hist.count().max(1) as f64;
 
         fd_obs::event(
             fd_obs::Level::Info,
@@ -767,9 +793,9 @@ mod serve {
         });
         let batch_json = serde_json::json!({
             "bounds": batch_hist.bounds().to_vec(),
-            "buckets": batch_hist.bucket_counts(),
-            "batches": batch_hist.count(),
-            "mean": round2(batch_hist.sum() / batch_count),
+            "buckets": batches.buckets,
+            "batches": batches.count,
+            "mean": round2(batches.sum / batches.count.max(1) as f64),
         });
         let report = serde_json::json!({
             "generator": "cargo run --release -p fd-bench --bin report -- serve",
@@ -787,7 +813,7 @@ mod serve {
             "throughput_rps": round2(total as f64 / wall_s),
             "latency_ms": latency_json,
             "batch_size": batch_json,
-            "queue_wait_us_mean": round2(wait_hist.sum() / wait_hist.count().max(1) as f64),
+            "queue_wait_us_mean": round2(waits.sum / waits.count.max(1) as f64),
             "bitwise_identical_to_sequential": true,
             "graceful_shutdown_ms": round2(shutdown_ms),
             "trace": trace_json,
@@ -1758,8 +1784,7 @@ mod tensor {
     }
 
     /// Times a full FakeDetector inference step (diffusion + heads) on a
-    /// small synthetic corpus: the per-node seed path vs the batched
-    /// forward, serial and row-parallel.
+    /// small synthetic corpus, serial and row-parallel.
     fn model_section() -> serde_json::Value {
         use fd_bench::{prepare, SweepConfig};
         use fd_core::{FakeDetector, FakeDetectorConfig};
@@ -1781,7 +1806,6 @@ mod tensor {
         let trained = FakeDetector::new(model_cfg).fit(&ctx);
         let corpus = &prepared.corpus;
 
-        let per_node_ms = median_ms(3, || trained.predict_per_node(&ctx));
         let sweep: Vec<(usize, f64)> = super::SWEEP_WIDTHS
             .iter()
             .map(|&t| (t, parallel::with_thread_count(t, || median_ms(3, || trained.predict(&ctx)))))
@@ -1793,18 +1817,14 @@ mod tensor {
             "bench.model_predict",
             &[
                 ("articles", corpus.articles.len().into()),
-                ("per_node_ms", per_node_ms.into()),
                 ("batched_serial_ms", batched_serial_ms.into()),
                 ("batched_parallel_4t_ms", batched_4t_ms.into()),
             ],
         );
         serde_json::json!({
             "articles": corpus.articles.len(),
-            "per_node_ms": round2(per_node_ms),
             "batched_serial_ms": round2(batched_serial_ms),
             "batched_parallel_4t_ms": round2(batched_4t_ms),
-            "speedup_batched_serial_vs_per_node": round2(per_node_ms / batched_serial_ms),
-            "speedup_batched_4t_vs_per_node": round2(per_node_ms / batched_4t_ms),
             "thread_scaling": super::scaling_curve(&sweep),
         })
     }

@@ -173,8 +173,9 @@ mod tests {
     use crate::format::TensorEntry;
     use std::sync::{Mutex, MutexGuard, OnceLock};
 
-    /// The fault spec is process-global; tests that install one must
-    /// not interleave.
+    /// The fault spec is process-global: tests that install one must
+    /// not interleave, and tests that save or load must not run while
+    /// one is armed, or they consume its fault.
     fn fault_lock() -> MutexGuard<'static, ()> {
         static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
         LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
@@ -201,6 +202,7 @@ mod tests {
 
     #[test]
     fn save_load_and_rotation() {
+        let _guard = fault_lock();
         let dir = tmpdir("rotate");
         let store = CheckpointStore::open(&dir, 3).unwrap();
         for epoch in 1..=6 {
@@ -216,6 +218,7 @@ mod tests {
 
     #[test]
     fn corrupt_latest_falls_back_to_previous_good() {
+        let _guard = fault_lock();
         let dir = tmpdir("fallback");
         let store = CheckpointStore::open(&dir, 4).unwrap();
         store.save(&ckpt(1)).unwrap();
@@ -237,6 +240,7 @@ mod tests {
 
     #[test]
     fn truncated_latest_falls_back() {
+        let _guard = fault_lock();
         let dir = tmpdir("truncate");
         let store = CheckpointStore::open(&dir, 4).unwrap();
         store.save(&ckpt(1)).unwrap();
@@ -252,6 +256,7 @@ mod tests {
 
     #[test]
     fn all_corrupt_is_an_error_and_empty_is_none() {
+        let _guard = fault_lock();
         let dir = tmpdir("allbad");
         let store = CheckpointStore::open(&dir, 2).unwrap();
         assert!(store.load_latest().unwrap().is_none());
@@ -296,6 +301,7 @@ mod tests {
 
     #[test]
     fn interrupted_tmp_is_cleaned_up_and_ignored() {
+        let _guard = fault_lock();
         let dir = tmpdir("tmpclean");
         let store = CheckpointStore::open(&dir, 2).unwrap();
         // A stale temp file from a crashed writer.

@@ -117,23 +117,11 @@ pub struct FakeDetectorConfig {
     pub use_diffusion: bool,
     /// Ablation: apply the forget/adjust gates (false ⇒ both fixed to 1).
     pub use_gates: bool,
-    /// Record each epoch as one matrix-valued graph per node type
-    /// (batched gathers, GRU steps and cross-entropy) instead of one
-    /// tape variable per node. Both paths produce bit-comparable losses
-    /// and near-identical gradients; the per-node path is kept as a
-    /// reference. Defaults to `true` (and to `true` when absent from
-    /// saved-model JSON written before this field existed).
-    #[serde(default = "default_batched_training")]
-    pub batched_training: bool,
     /// Epoch traversal: full-graph (default, exact) or neighbour-sampled
     /// minibatches with bounded peak memory. Absent from saved-model
     /// JSON written before sampled training existed ⇒ full-graph.
     #[serde(default)]
     pub train_mode: TrainMode,
-}
-
-fn default_batched_training() -> bool {
-    true
 }
 
 impl Default for FakeDetectorConfig {
@@ -154,7 +142,6 @@ impl Default for FakeDetectorConfig {
             use_latent: true,
             use_diffusion: true,
             use_gates: true,
-            batched_training: true,
             train_mode: TrainMode::Full,
         }
     }
@@ -196,16 +183,6 @@ mod tests {
         c.use_explicit = true;
         c.use_latent = false;
         assert_eq!(c.hflu_out_dim(60), 60);
-    }
-
-    #[test]
-    fn batched_training_defaults_on_for_old_saved_configs() {
-        // Saved-model JSON written before the flag existed must load.
-        let json = serde_json::to_string(&FakeDetectorConfig::default()).unwrap();
-        let json = json.replace(",\"batched_training\":true", "");
-        assert!(!json.contains("batched_training"), "field not stripped: {json}");
-        let c: FakeDetectorConfig = serde_json::from_str(&json).unwrap();
-        assert!(c.batched_training);
     }
 
     #[test]

@@ -14,13 +14,55 @@ use fd_tensor::Matrix;
 use fd_text::PAD_ID;
 use rand::Rng;
 
+/// HFLU inputs for a batch of nodes, in batch order: one explicit
+/// feature row and one token-id sequence per node.
+pub struct HfluInput<'a> {
+    explicit: Matrix,
+    sequences: Vec<&'a [usize]>,
+}
+
+impl<'a> HfluInput<'a> {
+    /// The corpus nodes `indices` of type `ty`, read from the context.
+    pub fn gather(
+        ctx: &ExperimentContext<'a>,
+        ty: NodeType,
+        indices: impl ExactSizeIterator<Item = usize>,
+    ) -> Self {
+        let tokenized = ctx.tokenized;
+        let mut explicit = Matrix::zeros(indices.len(), ctx.explicit.dim);
+        let mut sequences = Vec::with_capacity(indices.len());
+        for (k, i) in indices.enumerate() {
+            explicit.row_mut(k).copy_from_slice(ctx.explicit.feature(ty, i).row(0));
+            sequences.push(tokenized.sequence(ty, i));
+        }
+        Self { explicit, sequences }
+    }
+
+    /// Nodes outside the corpus (inductive requests, ingested nodes):
+    /// row `k` of `explicit` is the frozen-pipeline feature row of the
+    /// node whose token ids are `sequences[k]`.
+    pub fn raw(explicit: Matrix, sequences: Vec<&'a [usize]>) -> Self {
+        assert_eq!(explicit.rows(), sequences.len(), "HFLU input: one sequence per explicit row");
+        Self { explicit, sequences }
+    }
+
+    /// This batch followed by `more`'s nodes.
+    pub fn chain(self, more: HfluInput<'a>) -> Self {
+        if more.sequences.is_empty() {
+            return self;
+        }
+        let mut sequences = self.sequences;
+        sequences.extend(more.sequences);
+        Self { explicit: self.explicit.concat_rows(&more.explicit), sequences }
+    }
+}
+
 /// One node type's HFLU: the latent encoder plus the ablation switches.
 #[derive(Debug, Clone)]
 pub struct Hflu {
-    encoder: Option<GruEncoder>,
-    use_explicit: bool,
+    pub(crate) encoder: Option<GruEncoder>,
+    pub(crate) use_explicit: bool,
     out_dim: usize,
-    node_type: NodeType,
 }
 
 impl Hflu {
@@ -29,7 +71,6 @@ impl Hflu {
     pub fn new(
         params: &mut Params,
         name: &str,
-        node_type: NodeType,
         vocab_size: usize,
         explicit_dim: usize,
         config: &FakeDetectorConfig,
@@ -51,52 +92,18 @@ impl Hflu {
             encoder,
             use_explicit: config.use_explicit,
             out_dim: config.hflu_out_dim(explicit_dim),
-            node_type,
         }
     }
 
-    /// Encodes entity `idx`: `[x^e | x^l]` as a `1 x out_dim` row.
-    pub fn encode(&self, bind: &Binding, ctx: &ExperimentContext<'_>, idx: usize) -> Var {
-        self.encode_raw(
-            bind,
-            ctx.explicit.feature(self.node_type, idx).clone(),
-            ctx.tokenized.sequence(self.node_type, idx),
-        )
-    }
-
-    /// Encodes raw inputs — an explicit feature row plus a token-id
-    /// sequence — for entities that are not part of the corpus (the
-    /// inductive new-article path of `TrainedFakeDetector`).
-    pub fn encode_raw(&self, bind: &Binding, explicit_row: Matrix, sequence: &[usize]) -> Var {
-        let tape = bind.tape();
-        let explicit = self.use_explicit.then(|| tape.leaf(explicit_row));
-        let latent = self.encoder.as_ref().map(|enc| enc.encode(bind, sequence));
-        match (explicit, latent) {
-            (Some(e), Some(l)) => tape.concat_cols(e, l),
-            (Some(e), None) => e,
-            (None, Some(l)) => l,
-            (None, None) => unreachable!("config validation forbids both halves off"),
-        }
-    }
-
-    /// Tape-free batched twin of [`Hflu::encode_raw`]: encodes `n`
-    /// out-of-corpus entities at once from their raw inputs — an
-    /// `n x explicit_dim` feature matrix plus one token-id sequence per
-    /// row. Row `i` is bit-identical to the tape value of
-    /// `encode_raw(bind, explicit_rows.row(i), sequences[i])`: the GRU
-    /// batch encoder replays the per-node schedule exactly and the
-    /// explicit half is copied verbatim, so batching requests together
-    /// never changes any individual answer. This is the entry point of
-    /// the serving layer's micro-batched inductive scoring.
-    pub fn encode_raw_batch(
-        &self,
-        params: &Params,
-        explicit_rows: Matrix,
-        sequences: &[&[usize]],
-    ) -> Matrix {
-        debug_assert_eq!(explicit_rows.rows(), sequences.len(), "HFLU raw batch mismatch");
-        let explicit = self.use_explicit.then_some(explicit_rows);
-        let latent = self.encoder.as_ref().map(|enc| enc.encode_batch(params, sequences));
+    /// Tape-free HFLU over a batch: row `k` is `[x^e | x^l]` of node `k`
+    /// of `input`, one `out_dim` row per node. Batching never changes a
+    /// row: the GRU batch encoder replays the per-node schedule exactly
+    /// and the explicit half is copied verbatim, so row `k` is
+    /// bit-identical whether its node is encoded alone or with any
+    /// companions.
+    pub fn encode(&self, params: &Params, input: HfluInput<'_>) -> Matrix {
+        let explicit = self.use_explicit.then_some(input.explicit);
+        let latent = self.encoder.as_ref().map(|enc| enc.encode_batch(params, &input.sequences));
         match (explicit, latent) {
             (Some(e), Some(l)) => e.concat_cols(&l),
             (Some(e), None) => e,
@@ -105,136 +112,14 @@ impl Hflu {
         }
     }
 
-    /// Tape-free batched twin of [`Hflu::encode`]: encodes entities
-    /// `0..count` of this node type at once, one `out_dim` row each.
-    /// Row `i` is bit-identical to the tape value of `encode(bind, ctx, i)`.
-    pub fn encode_batch(
-        &self,
-        params: &Params,
-        ctx: &ExperimentContext<'_>,
-        count: usize,
-    ) -> Matrix {
-        let explicit = self.use_explicit.then(|| {
-            let dim =
-                if count == 0 { 0 } else { ctx.explicit.feature(self.node_type, 0).cols() };
-            let mut rows = Matrix::zeros(count, dim);
-            for i in 0..count {
-                rows.row_mut(i)
-                    .copy_from_slice(ctx.explicit.feature(self.node_type, i).row(0));
-            }
-            rows
-        });
-        let latent = self.encoder.as_ref().map(|enc| {
-            let sequences: Vec<&[usize]> =
-                (0..count).map(|i| ctx.tokenized.sequence(self.node_type, i)).collect();
-            enc.encode_batch(params, &sequences)
-        });
-        match (explicit, latent) {
-            (Some(e), Some(l)) => e.concat_cols(&l),
-            (Some(e), None) => e,
-            (None, Some(l)) => l,
-            (None, None) => unreachable!("config validation forbids both halves off"),
-        }
-    }
-
-    /// Tape-recorded batched twin of [`Hflu::encode`]: one
-    /// `count x out_dim` variable for entities `0..count` of this node
-    /// type. Row `i` is bit-identical to the tape value of
-    /// `encode(bind, ctx, i)`, and the backward pass reaches the same
-    /// encoder parameters the per-node tape would.
-    pub fn encode_batch_tape(
-        &self,
-        bind: &Binding,
-        ctx: &ExperimentContext<'_>,
-        count: usize,
-    ) -> fd_autograd::Var {
+    /// Tape-recorded twin of [`Hflu::encode`]: one
+    /// `len x out_dim` variable with the same rows bit for bit, whose
+    /// backward pass reaches the encoder parameters.
+    pub fn encode_tape(&self, bind: &Binding, input: HfluInput<'_>) -> Var {
         let tape = bind.tape();
-        let explicit = self.use_explicit.then(|| {
-            let mut rows = Matrix::zeros(count, ctx.explicit.dim);
-            for i in 0..count {
-                rows.row_mut(i)
-                    .copy_from_slice(ctx.explicit.feature(self.node_type, i).row(0));
-            }
-            tape.leaf(rows)
-        });
-        let latent = self.encoder.as_ref().map(|enc| {
-            let sequences: Vec<&[usize]> =
-                (0..count).map(|i| ctx.tokenized.sequence(self.node_type, i)).collect();
-            enc.encode_batch_tape(bind, &sequences)
-        });
-        match (explicit, latent) {
-            (Some(e), Some(l)) => tape.concat_cols(e, l),
-            (Some(e), None) => e,
-            (None, Some(l)) => l,
-            (None, None) => unreachable!("config validation forbids both halves off"),
-        }
-    }
-
-    /// Tape-free twin of [`Hflu::encode_batch`] over an arbitrary
-    /// entity subset instead of the contiguous prefix `0..count`: one
-    /// `indices.len() x out_dim` matrix whose row `k` is bit-identical
-    /// to row `indices[k]` of `encode_batch`. Incremental ingestion
-    /// uses this to re-encode only the affected base nodes, so a delta
-    /// update's HFLU cost scales with the affected set, not the corpus.
-    pub fn encode_subset(
-        &self,
-        params: &Params,
-        ctx: &ExperimentContext<'_>,
-        indices: &[usize],
-    ) -> Matrix {
-        let explicit = self.use_explicit.then(|| {
-            let mut rows = Matrix::zeros(indices.len(), ctx.explicit.dim);
-            for (k, &i) in indices.iter().enumerate() {
-                rows.row_mut(k)
-                    .copy_from_slice(ctx.explicit.feature(self.node_type, i).row(0));
-            }
-            rows
-        });
-        let latent = self.encoder.as_ref().map(|enc| {
-            let sequences: Vec<&[usize]> = indices
-                .iter()
-                .map(|&i| ctx.tokenized.sequence(self.node_type, i))
-                .collect();
-            enc.encode_batch(params, &sequences)
-        });
-        match (explicit, latent) {
-            (Some(e), Some(l)) => e.concat_cols(&l),
-            (Some(e), None) => e,
-            (None, Some(l)) => l,
-            (None, None) => unreachable!("config validation forbids both halves off"),
-        }
-    }
-
-    /// Tape-recorded twin of [`Hflu::encode_batch_tape`] over an
-    /// arbitrary entity subset instead of the contiguous prefix
-    /// `0..count`: one `indices.len() x out_dim` variable whose row `k`
-    /// is bit-identical to the tape value of
-    /// `encode(bind, ctx, indices[k])`. This is the sampled-minibatch
-    /// entry point — a subgraph's compacted node set encodes only its
-    /// own members, so HFLU cost per step scales with the subgraph, not
-    /// the corpus.
-    pub fn encode_subset_tape(
-        &self,
-        bind: &Binding,
-        ctx: &ExperimentContext<'_>,
-        indices: &[usize],
-    ) -> fd_autograd::Var {
-        let tape = bind.tape();
-        let explicit = self.use_explicit.then(|| {
-            let mut rows = Matrix::zeros(indices.len(), ctx.explicit.dim);
-            for (k, &i) in indices.iter().enumerate() {
-                rows.row_mut(k)
-                    .copy_from_slice(ctx.explicit.feature(self.node_type, i).row(0));
-            }
-            tape.leaf(rows)
-        });
-        let latent = self.encoder.as_ref().map(|enc| {
-            let sequences: Vec<&[usize]> = indices
-                .iter()
-                .map(|&i| ctx.tokenized.sequence(self.node_type, i))
-                .collect();
-            enc.encode_batch_tape(bind, &sequences)
-        });
+        let explicit = self.use_explicit.then(|| tape.leaf(input.explicit));
+        let latent =
+            self.encoder.as_ref().map(|enc| enc.encode_batch_tape(bind, &input.sequences));
         match (explicit, latent) {
             (Some(e), Some(l)) => tape.concat_cols(e, l),
             (Some(e), None) => e,
@@ -305,7 +190,6 @@ mod tests {
         let hflu = Hflu::new(
             &mut params,
             "hflu.article",
-            NodeType::Article,
             c.tokenized.vocab.id_space(),
             40,
             &config,
@@ -314,7 +198,7 @@ mod tests {
         assert_eq!(hflu.out_dim(), 40 + config.latent_dim);
         let tape = Tape::new();
         let bind = Binding::new(&tape, &params);
-        let x = hflu.encode(&bind, &c, 0);
+        let x = hflu.encode_tape(&bind, HfluInput::gather(&c, NodeType::Article, 0..1));
         assert_eq!(tape.shape(x), (1, hflu.out_dim()));
         // Explicit half is the stored feature verbatim.
         let v = tape.value(x);
@@ -334,7 +218,6 @@ mod tests {
         let hflu = Hflu::new(
             &mut params,
             "h",
-            NodeType::Creator,
             c.tokenized.vocab.id_space(),
             40,
             &config,
@@ -344,7 +227,7 @@ mod tests {
         assert_eq!(params.len(), 0);
         let tape = Tape::new();
         let bind = Binding::new(&tape, &params);
-        let x = hflu.encode(&bind, &c, 0);
+        let x = hflu.encode_tape(&bind, HfluInput::gather(&c, NodeType::Creator, 0..1));
         assert_eq!(tape.shape(x), (1, 40));
     }
 
@@ -358,7 +241,6 @@ mod tests {
         let hflu = Hflu::new(
             &mut params,
             "h",
-            NodeType::Subject,
             c.tokenized.vocab.id_space(),
             40,
             &config,
@@ -366,7 +248,7 @@ mod tests {
         );
         let tape = Tape::new();
         let bind = Binding::new(&tape, &params);
-        let x = hflu.encode(&bind, &c, 0);
+        let x = hflu.encode_tape(&bind, HfluInput::gather(&c, NodeType::Subject, 0..1));
         assert_eq!(tape.shape(x), (1, config.latent_dim));
         // Latent half is a sigmoid output: strictly in (0, 1).
         assert!(tape.value(x).as_slice().iter().all(|&v| v > 0.0 && v < 1.0));

@@ -53,9 +53,11 @@
 //! holding rows it rewrites; older generations keep serving their own
 //! states untouched.
 
+use crate::subgraph::Subgraph;
 use crate::trained::TrainedFakeDetector;
+use crate::HfluInput;
 use fd_data::ExperimentContext;
-use fd_graph::{Chunked, GraphOverlay, HetGraph};
+use fd_graph::{Chunked, GraphOverlay, HetGraph, NodeType};
 use fd_tensor::Matrix;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -161,6 +163,34 @@ impl<'a> StateView<'a> {
         }
         assert!(idx < self.base[slot].rows(), "slot {slot} has no row {idx}");
         self.base[slot].row(idx)
+    }
+
+    /// The GDU's neighbour inputs `(z, t)` for `n` rows of `slot`, read
+    /// through this view. Row `k` of `z` is the mean of the rows listed
+    /// by `neighbours(k)` — base part, then overlay extras — of the slot
+    /// that `slot` aggregates (subjects for articles, articles
+    /// otherwise), replaying `fd_tensor::mean_rows` exactly; row `k` of
+    /// `t` is the state of the creator `neighbours(k)` names (articles
+    /// only). Empty lists and absent creators leave zero rows. Inductive
+    /// scoring and the ingest delta both assemble their GDU inputs here.
+    pub(crate) fn gdu_inputs<'l>(
+        &self,
+        slot: usize,
+        n: usize,
+        hidden: usize,
+        neighbours: impl Fn(usize) -> (&'l [usize], &'l [usize], Option<usize>),
+    ) -> (Matrix, Matrix) {
+        let z_slot = if slot == 0 { 2 } else { 0 };
+        let mut z = Matrix::zeros(n, hidden);
+        let mut t_in = Matrix::zeros(n, hidden);
+        for k in 0..n {
+            let (base_part, extra_part, creator) = neighbours(k);
+            mean_into(self, z_slot, base_part, extra_part, z.row_mut(k));
+            if let Some(u) = creator {
+                t_in.row_mut(k).copy_from_slice(self.row(1, u));
+            }
+        }
+        (z, t_in)
     }
 }
 
@@ -299,20 +329,16 @@ impl TrainedFakeDetector {
 
         // HFLU rows of the new nodes, encoded once from the frozen
         // vocabulary/χ² pipeline and kept for every later step.
-        for slot in 0..3 {
-            if new_n[slot] == 0 {
+        for (slot, &n) in new_n.iter().enumerate() {
+            if n == 0 {
                 continue;
             }
-            let seq_refs: Vec<&[usize]> = new_sequences[slot].iter().map(Vec::as_slice).collect();
-            let x = self.network.hflu[slot].encode_raw_batch(
-                params,
-                new_explicit[slot].clone(),
-                &seq_refs,
-            );
-            for k in 0..new_n[slot] {
+            let input = raw_input(new_explicit, new_sequences, slot);
+            let x = self.network.hflu[slot].encode(params, input);
+            for k in 0..n {
                 next.encoded[slot].push(x.row(k).into());
             }
-            cost.encoded += new_n[slot];
+            cost.encoded += n;
         }
 
         // Existing creators/subjects the batch's articles cite: their
@@ -383,15 +409,15 @@ impl TrainedFakeDetector {
                     .filter(|&i| i < base_counts[slot] && !base_x[slot].contains_key(&i))
                     .collect();
                 if !missing.is_empty() {
-                    let m = self.network.hflu[slot].encode_subset(params, ctx, &missing);
+                    let ty = NodeType::ALL[slot];
+                    let input = HfluInput::gather(ctx, ty, missing.iter().copied());
+                    let m = self.network.hflu[slot].encode(params, input);
                     for (k, &i) in missing.iter().enumerate() {
                         base_x[slot].insert(i, m.row(k).into());
                     }
                     cost.encoded += missing.len();
                 }
                 let mut x = Matrix::zeros(idxs.len(), self.network.hflu[slot].out_dim());
-                let mut z = Matrix::zeros(idxs.len(), hidden);
-                let mut t_in = Matrix::zeros(idxs.len(), hidden);
                 for (k, &i) in idxs.iter().enumerate() {
                     let encoded = if i < base_counts[slot] {
                         &base_x[slot][&i]
@@ -399,17 +425,20 @@ impl TrainedFakeDetector {
                         next.encoded[slot].get(i - base_counts[slot]).expect("ingested node encoded")
                     };
                     x.row_mut(k).copy_from_slice(encoded);
-                    let Some(view) = prev_view.as_ref() else { continue };
-                    if slot == 0 {
-                        mean_into(view, 2, overlay.subjects_of_article(graph, i), &[], z.row_mut(k));
-                        if let Some(u) = overlay.author_of(graph, i) {
-                            t_in.row_mut(k).copy_from_slice(view.row(1, u));
-                        }
-                    } else {
-                        let (base_part, extra) = articles_of(overlay, graph, slot, i);
-                        mean_into(view, 0, base_part, extra, z.row_mut(k));
-                    }
                 }
+                let (z, t_in) = match &prev_view {
+                    Some(view) => view.gdu_inputs(slot, idxs.len(), hidden, |k| {
+                        let i = idxs[k];
+                        if slot == 0 {
+                            let subjects = overlay.subjects_of_article(graph, i);
+                            (subjects, &[][..], overlay.author_of(graph, i))
+                        } else {
+                            let (base_part, extra) = articles_of(overlay, graph, slot, i);
+                            (base_part, extra, None)
+                        }
+                    }),
+                    None => (Matrix::zeros(idxs.len(), hidden), Matrix::zeros(idxs.len(), hidden)),
+                };
                 let h = self.network.gdu[slot].forward_matrix(
                     params,
                     &x,
@@ -444,81 +473,23 @@ impl TrainedFakeDetector {
         check_overlay_inputs(ctx, overlay, new_explicit, new_sequences, new_n)?;
         let graph = &ctx.corpus.graph;
         let base_counts = overlay.base_counts();
-        let counts = overlay.counts();
-        let hidden = self.config.gdu_hidden;
-        let params = &self.network.params;
-
-        // Combined features: base prefix from the context, appended
-        // rows from the frozen-pipeline encodings.
-        let mut feats: Vec<Matrix> = Vec::with_capacity(3);
-        for slot in 0..3 {
-            let base_m = self.network.hflu[slot].encode_batch(params, ctx, base_counts[slot]);
-            if new_n[slot] == 0 {
-                feats.push(base_m);
-                continue;
-            }
-            let seq_refs: Vec<&[usize]> = new_sequences[slot].iter().map(Vec::as_slice).collect();
-            let new_m =
-                self.network.hflu[slot].encode_raw_batch(params, new_explicit[slot].clone(), &seq_refs);
-            let mut m = Matrix::zeros(counts[slot], base_m.cols());
-            for i in 0..base_counts[slot] {
-                m.row_mut(i).copy_from_slice(base_m.row(i));
-            }
-            for k in 0..new_n[slot] {
-                m.row_mut(base_counts[slot] + k).copy_from_slice(new_m.row(k));
-            }
-            feats.push(m);
-        }
-
-        // Materialised combined adjacency (base slice ++ extras).
-        let subjects_of_article: Vec<Vec<usize>> =
-            (0..counts[0]).map(|a| overlay.subjects_of_article(graph, a).to_vec()).collect();
-        let author: Vec<Option<usize>> =
-            (0..counts[0]).map(|a| overlay.author_of(graph, a)).collect();
-        let combined = |parts: (&[usize], &[usize])| -> Vec<usize> {
-            parts.0.iter().chain(parts.1.iter()).copied().collect()
-        };
-        let articles_of_creator: Vec<Vec<usize>> =
-            (0..counts[1]).map(|u| combined(overlay.articles_of_creator(graph, u))).collect();
-        let articles_of_subject: Vec<Vec<usize>> =
-            (0..counts[2]).map(|s| combined(overlay.articles_of_subject(graph, s))).collect();
-
-        let rounds = self.config.diffusion_rounds.max(1);
-        let zeros: [Matrix; 3] = std::array::from_fn(|slot| Matrix::zeros(counts[slot], hidden));
-        let mut history: Vec<[Matrix; 3]> = Vec::with_capacity(rounds);
-        for _round in 0..rounds {
-            let states: &[Matrix; 3] = history.last().unwrap_or(&zeros);
-            let next: [Matrix; 3] = std::array::from_fn(|slot| {
-                let (z, t_in) = if !self.config.use_diffusion {
-                    (Matrix::zeros(counts[slot], hidden), Matrix::zeros(counts[slot], hidden))
-                } else if slot == 0 {
-                    let z = fd_tensor::mean_rows(&states[2], counts[0], |a| {
-                        subjects_of_article[a].as_slice()
-                    });
-                    let mut t_in = Matrix::zeros(counts[0], hidden);
-                    for (a, u) in author.iter().enumerate() {
-                        if let Some(u) = u {
-                            t_in.row_mut(a).copy_from_slice(states[1].row(*u));
-                        }
-                    }
-                    (z, t_in)
-                } else {
-                    let lists = if slot == 1 { &articles_of_creator } else { &articles_of_subject };
-                    let z = fd_tensor::mean_rows(&states[0], counts[slot], |i| lists[i].as_slice());
-                    (z, Matrix::zeros(counts[slot], hidden))
-                };
-                self.network.gdu[slot].forward_matrix(
-                    params,
-                    &feats[slot],
-                    &z,
-                    &t_in,
-                    self.config.use_gates,
-                )
-            });
-            history.push(next);
-        }
-        Ok(history)
+        // Base rows from the context, appended rows from the
+        // frozen-pipeline features, one HFLU input per slot.
+        let extended = Subgraph::extended(overlay, graph);
+        Ok(self.network.forward_states_rounds(&self.config, &extended, |slot| {
+            HfluInput::gather(ctx, NodeType::ALL[slot], 0..base_counts[slot])
+                .chain(raw_input(new_explicit, new_sequences, slot))
+        }))
     }
+}
+
+/// The HFLU input of `slot`'s nodes outside the corpus.
+fn raw_input<'a>(
+    explicit: &[Matrix; 3],
+    sequences: &'a [Vec<Vec<usize>>; 3],
+    slot: usize,
+) -> HfluInput<'a> {
+    HfluInput::raw(explicit[slot].clone(), sequences[slot].iter().map(Vec::as_slice).collect())
 }
 
 #[cfg(test)]

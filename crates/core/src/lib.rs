@@ -34,13 +34,15 @@ mod gdu;
 mod hflu;
 mod incremental;
 mod model;
-mod sampled;
+#[cfg(test)]
+mod oracle;
+mod subgraph;
 mod trained;
 
 pub use checkpoint::FitOptions;
 pub use config::{FakeDetectorConfig, TrainMode};
 pub use gdu::{GduCell, QuantGdu};
-pub use hflu::Hflu;
+pub use hflu::{Hflu, HfluInput};
 pub use incremental::{DeltaCost, RoundDelta, StateOverlay, StateView};
 pub use model::{FakeDetector, TrainReport};
 pub use trained::{QuantModel, ScoreRequest, TrainedFakeDetector};

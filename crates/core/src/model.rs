@@ -2,9 +2,9 @@
 //! diffusion over the News-HSN, joint training (Section 4.3).
 
 use crate::checkpoint::{self, FitOptions};
-use crate::sampled::{sample_subgraph, SampledSubgraph};
+use crate::subgraph::{sample_subgraph, Adjacency, Subgraph};
 use crate::trained::TrainedFakeDetector;
-use crate::{FakeDetectorConfig, GduCell, Hflu, TrainMode};
+use crate::{FakeDetectorConfig, GduCell, Hflu, HfluInput, TrainMode};
 use fd_autograd::{Tape, Var};
 use fd_data::{CredibilityModel, ExperimentContext, Predictions};
 use fd_graph::{NeighborSampler, NodeType};
@@ -12,7 +12,7 @@ use fd_nn::{clip_global_norm, Adam, AdamState, Binding, Linear, Optimizer, Param
 use fd_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Seed-mixing constant for the internal validation split.
 const VAL_SPLIT_MIX: u64 = 0x7a11_da7e;
@@ -29,7 +29,7 @@ const VAL_SAMPLE_SALT: u64 = u64::MAX;
 
 /// One sampled-mode validation chunk: a fixed subgraph plus the chunk's
 /// held-out items as `(type, local row, target class)`.
-type ValChunk = (SampledSubgraph, Vec<(NodeType, usize, usize)>);
+type ValChunk = (Subgraph, Vec<(NodeType, usize, usize)>);
 
 /// How many times the divergence guard may halve the learning rate
 /// before giving up and returning the last good weights.
@@ -38,14 +38,6 @@ const MAX_LR_HALVINGS: u32 = 6;
 /// Without a checkpoint store the divergence guard still needs a
 /// rollback target; refresh it every this many epochs.
 const GUARD_EVERY: usize = 10;
-
-pub(crate) fn type_slot(ty: NodeType) -> usize {
-    match ty {
-        NodeType::Article => 0,
-        NodeType::Creator => 1,
-        NodeType::Subject => 2,
-    }
-}
 
 /// Scores `items` against `states` (rows indexed however `items` says)
 /// and adds per-type correct/total counts — the shared kernel of
@@ -62,7 +54,7 @@ fn accumulate_validation(
     let mut rows: [Vec<Option<usize>>; 3] = Default::default();
     let mut targets: [Vec<usize>; 3] = Default::default();
     for &(ty, idx, target) in items {
-        let slot = type_slot(ty);
+        let slot = ty.slot();
         rows[slot].push(Some(idx));
         targets[slot].push(target);
     }
@@ -93,6 +85,54 @@ fn macro_accuracy(correct: &[usize; 3], total: &[usize; 3]) -> f64 {
         }
     }
     acc_sum / types_present.max(1) as f64
+}
+
+/// One step's objective, `L(T_n) + L(T_u) + L(T_s) + reg_scale · L_reg`,
+/// over `items` given as `(slot, state row, target class)`. Each type's
+/// rows go through its head as one matrix; the stacked logits are then
+/// re-gathered into item order, so the summed cross-entropy adds the
+/// per-item terms left to right in exactly the per-node reference's
+/// order — that association is what keeps the loss bit-comparable to
+/// it. Returns the loss and the item-ordered logits.
+fn step_loss(
+    network: &Network,
+    bind: &Binding<'_>,
+    states: &[Var; 3],
+    items: &[(usize, usize, usize)],
+    reg_scale: f32,
+) -> (Var, Var) {
+    let tape = bind.tape();
+    let mut rows: [Vec<Option<usize>>; 3] = Default::default();
+    let mut within: Vec<usize> = Vec::with_capacity(items.len());
+    for &(slot, row, _) in items {
+        within.push(rows[slot].len());
+        rows[slot].push(Some(row));
+    }
+    let offsets = [0, rows[0].len(), rows[0].len() + rows[1].len()];
+    let order: Vec<Option<usize>> =
+        items.iter().zip(&within).map(|(&(slot, _, _), &w)| Some(offsets[slot] + w)).collect();
+    let targets: Vec<usize> = items.iter().map(|&(_, _, target)| target).collect();
+    let mut stacked: Option<Var> = None;
+    for slot in 0..3 {
+        if rows[slot].is_empty() {
+            continue;
+        }
+        let sel = tape.gather_rows(states[slot], &rows[slot]);
+        let logits = network.heads[slot].forward(bind, sel);
+        stacked = Some(match stacked {
+            Some(s) => tape.concat_rows(s, logits),
+            None => logits,
+        });
+    }
+    let ordered = tape.gather_rows(stacked.expect("a step has at least one item"), &order);
+    let ce = tape.softmax_cross_entropy_rows(ordered, &targets);
+    let loss = if reg_scale > 0.0 && !network.reg_ids.is_empty() {
+        let reg = bind.l2_term(&network.reg_ids);
+        tape.add(ce, tape.scale(reg, reg_scale))
+    } else {
+        ce
+    };
+    (loss, ordered)
 }
 
 /// Macro-averaged validation accuracy over pre-update diffusion states.
@@ -335,9 +375,9 @@ impl Network {
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let hflu: [Hflu; 3] = [
-            Hflu::new(&mut params, "hflu.article", NodeType::Article, dims.vocab, dims.explicit_dim, config, &mut rng),
-            Hflu::new(&mut params, "hflu.creator", NodeType::Creator, dims.vocab, dims.explicit_dim, config, &mut rng),
-            Hflu::new(&mut params, "hflu.subject", NodeType::Subject, dims.vocab, dims.explicit_dim, config, &mut rng),
+            Hflu::new(&mut params, "hflu.article", dims.vocab, dims.explicit_dim, config, &mut rng),
+            Hflu::new(&mut params, "hflu.creator", dims.vocab, dims.explicit_dim, config, &mut rng),
+            Hflu::new(&mut params, "hflu.subject", dims.vocab, dims.explicit_dim, config, &mut rng),
         ];
         let x_dim = config.hflu_out_dim(dims.explicit_dim);
         let gdu: [GduCell; 3] = [
@@ -359,152 +399,42 @@ impl Network {
         Self { params, hflu, gdu, heads, reg_ids }
     }
 
-    /// Full-graph forward: HFLU features once, then `diffusion_rounds`
-    /// synchronous GDU updates. Round 0 sees zero neighbour states, so
-    /// with `L` rounds information travels `L` hops — the unrolled
-    /// reading of Figure 3(c)'s mutual data flow.
-    pub fn forward_states(
-        &self,
-        config: &FakeDetectorConfig,
-        bind: &Binding<'_>,
-        ctx: &ExperimentContext<'_>,
-    ) -> [Vec<Var>; 3] {
-        let tape = bind.tape();
-        let graph = &ctx.corpus.graph;
-        let feats: [Vec<Var>; 3] = [
-            (0..graph.n_articles()).map(|i| self.hflu[0].encode(bind, ctx, i)).collect(),
-            (0..graph.n_creators()).map(|i| self.hflu[1].encode(bind, ctx, i)).collect(),
-            (0..graph.n_subjects()).map(|i| self.hflu[2].encode(bind, ctx, i)).collect(),
-        ];
-        let zero = tape.leaf(Matrix::zeros(1, config.gdu_hidden));
-        let mut states: [Vec<Var>; 3] = [
-            vec![zero; graph.n_articles()],
-            vec![zero; graph.n_creators()],
-            vec![zero; graph.n_subjects()],
-        ];
-        let rounds = config.diffusion_rounds.max(1);
-        for _round in 0..rounds {
-            let mut next: [Vec<Var>; 3] = [
-                Vec::with_capacity(graph.n_articles()),
-                Vec::with_capacity(graph.n_creators()),
-                Vec::with_capacity(graph.n_subjects()),
-            ];
-            for (a, &feat) in feats[0].iter().enumerate() {
-                let (z, t_in) = if config.use_diffusion {
-                    let subjects = graph.subjects_of_article(a);
-                    let z = if subjects.is_empty() {
-                        zero
-                    } else {
-                        let vars: Vec<Var> = subjects.iter().map(|&s| states[2][s]).collect();
-                        tape.mean_n(&vars)
-                    };
-                    let t_in = graph.author_of(a).map_or(zero, |u| states[1][u]);
-                    (z, t_in)
-                } else {
-                    (zero, zero)
-                };
-                next[0].push(self.gdu[0].forward(bind, feat, z, t_in, config.use_gates));
-            }
-            for (u, &feat) in feats[1].iter().enumerate() {
-                let z = self.aggregate(config, bind, &states[0], graph.articles_of_creator(u), zero);
-                next[1].push(self.gdu[1].forward(bind, feat, z, zero, config.use_gates));
-            }
-            for (s, &feat) in feats[2].iter().enumerate() {
-                let z = self.aggregate(config, bind, &states[0], graph.articles_of_subject(s), zero);
-                next[2].push(self.gdu[2].forward(bind, feat, z, zero, config.use_gates));
-            }
-            states = next;
-        }
-        states
-    }
-
-    /// Tape-recorded batched twin of [`Network::forward_states`]: one
-    /// `count x hidden` variable per node type instead of one variable
-    /// per node, so a whole epoch records `O(rounds)` tape nodes per
-    /// type rather than `O(nodes)`. Row `i` of each state is
-    /// bit-identical to the per-node tape value for node `i`: the HFLU
-    /// batch encoder replays the per-node schedule exactly, the batched
-    /// neighbour mean replays `Tape::mean_n`'s arithmetic, and the GDU
-    /// is row-independent. Every matmul inside routes through the
-    /// blocked/parallel kernels, so `FD_THREADS` now speeds up training,
-    /// not just inference.
-    pub fn forward_states_batched(
-        &self,
-        config: &FakeDetectorConfig,
-        bind: &Binding<'_>,
-        ctx: &ExperimentContext<'_>,
-    ) -> [Var; 3] {
-        let tape = bind.tape();
-        let graph = &ctx.corpus.graph;
-        let counts = [graph.n_articles(), graph.n_creators(), graph.n_subjects()];
-        let hidden = config.gdu_hidden;
-        let feats: [Var; 3] =
-            [0, 1, 2].map(|slot| self.hflu[slot].encode_batch_tape(bind, ctx, counts[slot]));
-
-        // Adjacency in dense row-list form, shared by every round's
-        // gather/mean ops (the tape holds `Rc` clones, not copies).
-        let subjects_of_article: Rc<Vec<Vec<usize>>> =
-            Rc::new((0..counts[0]).map(|a| graph.subjects_of_article(a).to_vec()).collect());
-        let articles_of_creator: Rc<Vec<Vec<usize>>> =
-            Rc::new((0..counts[1]).map(|u| graph.articles_of_creator(u).to_vec()).collect());
-        let articles_of_subject: Rc<Vec<Vec<usize>>> =
-            Rc::new((0..counts[2]).map(|s| graph.articles_of_subject(s).to_vec()).collect());
-        let author: Vec<Option<usize>> = (0..counts[0]).map(|a| graph.author_of(a)).collect();
-
-        let zeros: [Var; 3] = counts.map(|n| tape.leaf(Matrix::zeros(n, hidden)));
-        let mut states = zeros;
-        let rounds = config.diffusion_rounds.max(1);
-        for _round in 0..rounds {
-            states = if config.use_diffusion {
-                let z_articles = tape.mean_rows(states[2], Rc::clone(&subjects_of_article));
-                let t_articles = tape.gather_rows(states[1], &author);
-                let z_creators = tape.mean_rows(states[0], Rc::clone(&articles_of_creator));
-                let z_subjects = tape.mean_rows(states[0], Rc::clone(&articles_of_subject));
-                [
-                    self.gdu[0].forward(bind, feats[0], z_articles, t_articles, config.use_gates),
-                    self.gdu[1].forward(bind, feats[1], z_creators, zeros[1], config.use_gates),
-                    self.gdu[2].forward(bind, feats[2], z_subjects, zeros[2], config.use_gates),
-                ]
-            } else {
-                [0, 1, 2].map(|slot| {
-                    self.gdu[slot].forward(bind, feats[slot], zeros[slot], zeros[slot], config.use_gates)
-                })
-            };
-        }
-        states
-    }
-
-    /// Sampled-subgraph twin of [`Network::forward_states_batched`]:
-    /// the same batched gather/mean/GDU schedule, but over a
-    /// [`SampledSubgraph`]'s compacted node set — HFLU encodes only the
-    /// subgraph members and every adjacency op reads the sampled local
-    /// lists, so tape size per step scales with the subgraph, not the
-    /// corpus. When the subgraph covers a node's full neighbourhood
-    /// (fan-out at or above its degree, node interior to the hop
-    /// radius), its state row is bit-identical to the full-graph batched
-    /// forward; at the receptive-field boundary neighbourhoods are
-    /// truncated (the GraphSAGE approximation).
+    /// The tape forward: HFLU-encodes `sub`'s nodes, then unrolls
+    /// `rounds` synchronous GDU updates over its neighbour lists, one
+    /// `count x hidden` variable per node type and round. Round 0 sees
+    /// zero neighbour states, so with `L` rounds information travels `L`
+    /// hops — the unrolled reading of Figure 3(c)'s mutual data flow.
+    ///
+    /// Full-graph epochs run it over [`Subgraph::whole`], sampled steps
+    /// over a sampled k-hop subgraph, so tape size per step scales with
+    /// the node set, not the corpus. A node whose whole neighbourhood
+    /// the subgraph covers (fan-out at or above its degree, node
+    /// interior to the hop radius) gets its full-graph row bit for bit;
+    /// at the receptive-field boundary neighbourhoods are truncated (the
+    /// GraphSAGE approximation). Every matmul routes through the
+    /// blocked/parallel kernels, so `FD_THREADS` speeds up training too.
     pub fn forward_states_subgraph(
         &self,
         config: &FakeDetectorConfig,
         bind: &Binding<'_>,
         ctx: &ExperimentContext<'_>,
-        sub: &SampledSubgraph,
+        sub: &Subgraph,
         rounds: usize,
     ) -> [Var; 3] {
         let tape = bind.tape();
-        let counts = [sub.nodes[0].len(), sub.nodes[1].len(), sub.nodes[2].len()];
         let hidden = config.gdu_hidden;
-        let feats: [Var; 3] =
-            [0, 1, 2].map(|slot| self.hflu[slot].encode_subset_tape(bind, ctx, &sub.nodes[slot]));
-        let zeros: [Var; 3] = counts.map(|n| tape.leaf(Matrix::zeros(n, hidden)));
+        let feats: [Var; 3] = std::array::from_fn(|slot| {
+            let nodes = sub.nodes[slot].iter().copied();
+            self.hflu[slot].encode_tape(bind, HfluInput::gather(ctx, NodeType::ALL[slot], nodes))
+        });
+        let zeros: [Var; 3] = sub.counts().map(|n| tape.leaf(Matrix::zeros(n, hidden)));
         let mut states = zeros;
         for _round in 0..rounds.max(1) {
             states = if config.use_diffusion {
-                let z_articles = tape.mean_rows(states[2], Rc::clone(&sub.subjects_of_article));
+                let z_articles = tape.mean_rows(states[2], Arc::clone(&sub.subjects_of_article));
                 let t_articles = tape.gather_rows(states[1], &sub.author);
-                let z_creators = tape.mean_rows(states[0], Rc::clone(&sub.articles_of_creator));
-                let z_subjects = tape.mean_rows(states[0], Rc::clone(&sub.articles_of_subject));
+                let z_creators = tape.mean_rows(states[0], Arc::clone(&sub.articles_of_creator));
+                let z_subjects = tape.mean_rows(states[0], Arc::clone(&sub.articles_of_subject));
                 [
                     self.gdu[0].forward(bind, feats[0], z_articles, t_articles, config.use_gates),
                     self.gdu[1].forward(bind, feats[1], z_creators, zeros[1], config.use_gates),
@@ -519,111 +449,64 @@ impl Network {
         states
     }
 
-    /// Tape-free batched twin of [`Network::forward_states`]: one
-    /// `count x hidden` state matrix per node type instead of per-node
-    /// tape variables. Row `i` of each matrix is bit-identical to the
-    /// tape value for node `i` — the blocked matmul reduces every output
-    /// element in a fixed order independent of batch size, the gather
-    /// mean below replays `Tape::mean_n` exactly, and all remaining ops
-    /// are elementwise. The three HFLU sweeps and the three per-round
-    /// GDU updates are independent, so both fan out across `FD_THREADS`.
-    pub fn forward_states_matrix(
+    /// The tape-free forward: HFLU-encodes `inputs(slot)` (one row per
+    /// node of `adj`) for each node type, then runs the schedule of
+    /// [`Network::forward_states_subgraph`] over `adj` on plain matrices,
+    /// keeping every round: element `r` holds the states after round
+    /// `r + 1`. Row `i` of each matrix is bit-identical to the tape value
+    /// for node `i` — the blocked matmul reduces every output element in
+    /// a fixed order independent of batch size, `fd_tensor::mean_rows`
+    /// replays the tape's mean, and all remaining ops are elementwise.
+    /// The three HFLU sweeps and the three GDU updates of a round are
+    /// independent, so both fan out across `FD_THREADS`.
+    pub fn forward_states_rounds<'a>(
         &self,
         config: &FakeDetectorConfig,
-        ctx: &ExperimentContext<'_>,
-    ) -> [Matrix; 3] {
-        self.forward_states_rounds(config, ctx).pop().expect("at least one diffusion round")
-    }
-
-    /// [`Network::forward_states_matrix`] keeping *every* round's state
-    /// matrices instead of only the last: element `r` holds the states
-    /// after round `r + 1`, and the final element is bit-identical to
-    /// `forward_states_matrix` (which delegates here). The per-round
-    /// history is what incremental ingestion diffs against — a delta
-    /// update at round `r` needs the unmodified round `r - 1` states of
-    /// the untouched base nodes.
-    pub fn forward_states_rounds(
-        &self,
-        config: &FakeDetectorConfig,
-        ctx: &ExperimentContext<'_>,
+        adj: &impl Adjacency,
+        inputs: impl Fn(usize) -> HfluInput<'a> + Sync,
     ) -> Vec<[Matrix; 3]> {
-        use fd_tensor::parallel;
-        let graph = &ctx.corpus.graph;
-        let counts = [graph.n_articles(), graph.n_creators(), graph.n_subjects()];
+        use fd_tensor::parallel::par_map;
+        let counts = adj.counts();
         let n_nodes: usize = counts.iter().sum();
         let hidden = config.gdu_hidden;
 
         let feat_work = n_nodes * config.embed_dim * config.gru_hidden;
-        let feats: [Matrix; 3] = parallel::par_map(3, feat_work, |slot| {
-            self.hflu[slot].encode_batch(&self.params, ctx, counts[slot])
-        })
-        .try_into()
-        .expect("par_map returns one result per slot");
+        let feats: [Matrix; 3] =
+            par_map(3, feat_work, |slot| self.hflu[slot].encode(&self.params, inputs(slot)))
+                .try_into()
+                .expect("par_map returns one result per slot");
 
-        let zeros: [Matrix; 3] = [
-            Matrix::zeros(counts[0], hidden),
-            Matrix::zeros(counts[1], hidden),
-            Matrix::zeros(counts[2], hidden),
-        ];
+        let zeros: [Matrix; 3] = counts.map(|n| Matrix::zeros(n, hidden));
         let round_work = n_nodes * hidden * hidden;
         let rounds = config.diffusion_rounds.max(1);
         let mut history: Vec<[Matrix; 3]> = Vec::with_capacity(rounds);
         for _round in 0..rounds {
             let states: &[Matrix; 3] = history.last().unwrap_or(&zeros);
-            let next: [Matrix; 3] = parallel::par_map(3, round_work, |slot| {
-                let (z, t_in) = if !config.use_diffusion {
-                    (Matrix::zeros(counts[slot], hidden), Matrix::zeros(counts[slot], hidden))
+            let next: [Matrix; 3] = par_map(3, round_work, |slot| {
+                let n = counts[slot];
+                let mut t_in = Matrix::zeros(n, hidden);
+                let z = if !config.use_diffusion {
+                    Matrix::zeros(n, hidden)
                 } else if slot == 0 {
-                    let z = fd_tensor::mean_rows(&states[2], counts[0], |a| {
-                        graph.subjects_of_article(a)
-                    });
-                    let mut t_in = Matrix::zeros(counts[0], hidden);
-                    for a in 0..counts[0] {
-                        if let Some(u) = graph.author_of(a) {
+                    for a in 0..n {
+                        if let Some(u) = adj.author_of(a) {
                             t_in.row_mut(a).copy_from_slice(states[1].row(u));
                         }
                     }
-                    (z, t_in)
+                    fd_tensor::mean_rows(&states[2], n, |a| adj.subjects_of_article(a))
+                } else if slot == 1 {
+                    fd_tensor::mean_rows(&states[0], n, |u| adj.articles_of_creator(u))
                 } else {
-                    let z = fd_tensor::mean_rows(&states[0], counts[slot], |i| {
-                        if slot == 1 {
-                            graph.articles_of_creator(i)
-                        } else {
-                            graph.articles_of_subject(i)
-                        }
-                    });
-                    (z, Matrix::zeros(counts[slot], hidden))
+                    fd_tensor::mean_rows(&states[0], n, |s| adj.articles_of_subject(s))
                 };
-                self.gdu[slot].forward_matrix(
-                    &self.params,
-                    &feats[slot],
-                    &z,
-                    &t_in,
-                    config.use_gates,
-                )
+                let gdu = &self.gdu[slot];
+                gdu.forward_matrix(&self.params, &feats[slot], &z, &t_in, config.use_gates)
             })
             .try_into()
             .expect("par_map returns one result per slot");
             history.push(next);
         }
         history
-    }
-
-    /// Mean of the listed article states, or the zero state when
-    /// diffusion is ablated or the list is empty.
-    fn aggregate(
-        &self,
-        config: &FakeDetectorConfig,
-        bind: &Binding<'_>,
-        article_states: &[Var],
-        articles: &[usize],
-        zero: Var,
-    ) -> Var {
-        if !config.use_diffusion || articles.is_empty() {
-            return zero;
-        }
-        let vars: Vec<Var> = articles.iter().map(|&a| article_states[a]).collect();
-        bind.tape().mean_n(&vars)
     }
 
     /// A deep copy of the current weights (early-stopping snapshots).
@@ -765,36 +648,6 @@ impl FakeDetector {
         let (val_items, fit_items) = items.split_at(n_val);
         assert!(!fit_items.is_empty(), "FakeDetector: empty training set");
 
-        // Batched-loss assembly, fixed across epochs: which state row
-        // each fit item reads (per type), and where its logits row lands
-        // in the type-stacked matrix, so the batched cross-entropy can
-        // sum per-item terms in exactly the per-node (shuffled) order —
-        // that left-to-right association is the bit-comparability
-        // contract between the two training paths.
-        let mut fit_rows: [Vec<Option<usize>>; 3] = Default::default();
-        let mut targets: Vec<usize> = Vec::with_capacity(fit_items.len());
-        let mut within_slot: Vec<usize> = Vec::with_capacity(fit_items.len());
-        for &(ty, idx, target) in fit_items {
-            let slot = type_slot(ty);
-            within_slot.push(fit_rows[slot].len());
-            fit_rows[slot].push(Some(idx));
-            targets.push(target);
-        }
-        let offsets = {
-            let mut off = [0usize; 3];
-            let mut acc = 0;
-            for (o, rows) in off.iter_mut().zip(&fit_rows) {
-                *o = acc;
-                acc += rows.len();
-            }
-            off
-        };
-        let stack_order: Vec<Option<usize>> = fit_items
-            .iter()
-            .zip(&within_slot)
-            .map(|(&(ty, _, _), &w)| Some(offsets[type_slot(ty)] + w))
-            .collect();
-
         // Sampled minibatch mode: a deterministic neighbour sampler (a
         // pure function of seed/salt/node, so the epoch schedule is
         // replayable across resumes and thread counts) plus the
@@ -807,6 +660,12 @@ impl FakeDetector {
             }
             TrainMode::Full => None,
         };
+        // Full-graph epochs diffuse over the whole corpus graph, whose
+        // neighbour lists are built once here; each fit item reads its
+        // own node's row.
+        let whole = sampled_setup.is_none().then(|| Subgraph::whole(&ctx.corpus.graph));
+        let fit_steps: Vec<(usize, usize, usize)> =
+            fit_items.iter().map(|&(ty, idx, target)| (ty.slot(), idx, target)).collect();
         let sampler_fanout_hist = sampled_setup.as_ref().map(|_| {
             fd_obs::histogram("train.sampler.fanout", &fd_obs::exponential_buckets(1.0, 2.0, 10))
         });
@@ -980,58 +839,20 @@ impl FakeDetector {
                     }
                     phase.lap("train.sample", sample_us);
 
-                    // Forward + loss over the compacted subgraph: the same
-                    // stacked-logits assembly as the full-graph path, but
-                    // rows address the subgraph's local index space, and
-                    // the L2 term is scaled by the batch fraction so one
-                    // epoch applies one full α·L2's worth of decay.
+                    // Forward + loss over the compacted subgraph: rows
+                    // address its local index space, and the L2 term is
+                    // scaled by the batch fraction so one epoch applies
+                    // one full α·L2's worth of decay.
                     let states =
                         network.forward_states_subgraph(cfg, &binding, ctx, &sub, rounds);
-                    let mut rows: [Vec<Option<usize>>; 3] = Default::default();
-                    let mut batch_targets: Vec<usize> = Vec::with_capacity(chunk.len());
-                    let mut within: Vec<usize> = Vec::with_capacity(chunk.len());
-                    for (&k, &(slot, local)) in chunk.iter().zip(&sub.seed_rows) {
-                        within.push(rows[slot].len());
-                        rows[slot].push(Some(local));
-                        batch_targets.push(fit_items[k].2);
-                    }
-                    let batch_offsets = {
-                        let mut off = [0usize; 3];
-                        let mut acc = 0;
-                        for (o, r) in off.iter_mut().zip(&rows) {
-                            *o = acc;
-                            acc += r.len();
-                        }
-                        off
-                    };
-                    let batch_order: Vec<Option<usize>> = sub
-                        .seed_rows
+                    let steps: Vec<(usize, usize, usize)> = chunk
                         .iter()
-                        .zip(&within)
-                        .map(|(&(slot, _), &w)| Some(batch_offsets[slot] + w))
+                        .zip(&sub.seed_rows)
+                        .map(|(&k, &(slot, local))| (slot, local, fit_items[k].2))
                         .collect();
-                    let mut stacked: Option<Var> = None;
-                    for slot in 0..3 {
-                        if rows[slot].is_empty() {
-                            continue;
-                        }
-                        let sel = tape.gather_rows(states[slot], &rows[slot]);
-                        let logits = network.heads[slot].forward(&binding, sel);
-                        stacked = Some(match stacked {
-                            Some(s) => tape.concat_rows(s, logits),
-                            None => logits,
-                        });
-                    }
-                    let stacked = stacked.expect("chunks() never yields an empty batch");
-                    let ordered = tape.gather_rows(stacked, &batch_order);
-                    let ce = tape.softmax_cross_entropy_rows(ordered, &batch_targets);
-                    let loss = if cfg.reg_alpha > 0.0 && !network.reg_ids.is_empty() {
-                        let reg = binding.l2_term(&network.reg_ids);
-                        let frac = chunk.len() as f32 / fit_items.len() as f32;
-                        tape.add(ce, tape.scale(reg, cfg.reg_alpha * frac))
-                    } else {
-                        ce
-                    };
+                    let frac = chunk.len() as f32 / fit_items.len() as f32;
+                    let (loss, _) =
+                        step_loss(&network, &binding, &states, &steps, cfg.reg_alpha * frac);
                     phase.lap("train.forward", forward_us);
 
                     tape.backward(loss);
@@ -1116,78 +937,26 @@ impl FakeDetector {
             let binding = Binding::new(&tape, &network.params);
             let want_slot_losses = fd_obs::enabled(fd_obs::Level::Info);
 
-            // The paper's objective: L(T_n) + L(T_u) + L(T_s) + α L_reg,
-            // recorded either as one matrix-valued graph per node type
-            // (batched) or one tape variable per node (reference).
-            let (loss, epoch_slot_losses, val_states) = if cfg.batched_training {
-                let states = network.forward_states_batched(cfg, &binding, ctx);
-                let mut stacked: Option<Var> = None;
-                for slot in 0..3 {
-                    if fit_rows[slot].is_empty() {
-                        continue;
-                    }
-                    let sel = tape.gather_rows(states[slot], &fit_rows[slot]);
-                    let logits = network.heads[slot].forward(&binding, sel);
-                    stacked = Some(match stacked {
-                        Some(s) => tape.concat_rows(s, logits),
-                        None => logits,
-                    });
-                }
-                let stacked = stacked.expect("non-empty training set");
-                let ordered = tape.gather_rows(stacked, &stack_order);
-                let ce = tape.softmax_cross_entropy_rows(ordered, &targets);
-                let loss = if cfg.reg_alpha > 0.0 && !network.reg_ids.is_empty() {
-                    let reg = binding.l2_term(&network.reg_ids);
-                    tape.add(ce, tape.scale(reg, cfg.reg_alpha))
-                } else {
-                    ce
-                };
-                // Per-entity-type loss decomposition, recomputed from the
-                // cached logits only when someone is listening.
-                let slot_losses: Option<[f64; 3]> = want_slot_losses.then(|| {
-                    tape.with_value(ordered, |logits| {
-                        let mut sums = [0.0f64; 3];
-                        for (k, &(ty, _, _)) in fit_items.iter().enumerate() {
-                            let mut row = logits.row(k).to_vec();
-                            fd_tensor::softmax_in_place(&mut row);
-                            sums[type_slot(ty)] += f64::from(-row[targets[k]].max(1e-12).ln());
-                        }
-                        sums
-                    })
-                });
-                // Validation reads the pre-update states straight off the
-                // tape; no per-item validation variables are recorded.
-                let val_states = (n_val > 0)
-                    .then(|| [tape.value(states[0]), tape.value(states[1]), tape.value(states[2])]);
-                (loss, slot_losses, val_states)
-            } else {
-                let states = network.forward_states(cfg, &binding, ctx);
-                let mut losses: Vec<Var> = Vec::with_capacity(fit_items.len() + 1);
-                for &(ty, idx, target) in fit_items {
-                    let slot = type_slot(ty);
-                    let logits = network.heads[slot].forward(&binding, states[slot][idx]);
-                    losses.push(tape.softmax_cross_entropy(logits, target));
-                }
-                if cfg.reg_alpha > 0.0 && !network.reg_ids.is_empty() {
-                    let reg = binding.l2_term(&network.reg_ids);
-                    losses.push(tape.scale(reg, cfg.reg_alpha));
-                }
-                let loss = tape.sum_n(&losses);
-                // `losses[i]` pairs with `fit_items[i]`; the optional
-                // trailing reg term falls off the zip.
-                let slot_losses: Option<[f64; 3]> = want_slot_losses.then(|| {
+            let whole = whole.as_ref().expect("full-graph epochs build the whole subgraph");
+            let states =
+                network.forward_states_subgraph(cfg, &binding, ctx, whole, cfg.diffusion_rounds);
+            let (loss, ordered) = step_loss(&network, &binding, &states, &fit_steps, cfg.reg_alpha);
+            // Per-entity-type loss decomposition, recomputed from the
+            // cached logits only when someone is listening.
+            let epoch_slot_losses: Option<[f64; 3]> = want_slot_losses.then(|| {
+                tape.with_value(ordered, |logits| {
                     let mut sums = [0.0f64; 3];
-                    for (&(ty, _, _), &item_loss) in fit_items.iter().zip(&losses) {
-                        sums[type_slot(ty)] +=
-                            f64::from(tape.with_value(item_loss, |m| m[(0, 0)]));
+                    for (k, &(slot, _, target)) in fit_steps.iter().enumerate() {
+                        let mut row = logits.row(k).to_vec();
+                        fd_tensor::softmax_in_place(&mut row);
+                        sums[slot] += f64::from(-row[target].max(1e-12).ln());
                     }
                     sums
-                });
-                // Tape-free recompute of the same pre-update states keeps
-                // per-item validation variables off the training tape.
-                let val_states = (n_val > 0).then(|| network.forward_states_matrix(cfg, ctx));
-                (loss, slot_losses, val_states)
-            };
+                })
+            });
+            // Validation reads the pre-update states straight off the
+            // tape; no per-item validation variables are recorded.
+            let val_states = (n_val > 0).then(|| states.map(|state| tape.value(state)));
             phase.lap("train.forward", forward_us);
 
             tape.backward(loss);
@@ -1362,6 +1131,7 @@ impl CredibilityModel for FakeDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use fd_data::{
         generate, CvSplits, ExplicitFeatures, GeneratorConfig, LabelMode, TokenizedCorpus,
         TrainSets,
@@ -1399,71 +1169,52 @@ mod tests {
         }
     }
 
-    /// One training-objective evaluation (forward + backward, no update):
-    /// the batched matrix path or the per-node reference path, over the
-    /// unshuffled train items. Returns the scalar loss and the gradients.
-    fn epoch_grads(
-        config: &FakeDetectorConfig,
-        ctx: &ExperimentContext<'_>,
-        batched: bool,
-    ) -> (f32, Vec<(fd_nn::ParamId, Matrix)>) {
-        let dims = NetworkDims {
+    fn dims_of(ctx: &ExperimentContext<'_>) -> NetworkDims {
+        NetworkDims {
             vocab: ctx.tokenized.vocab.id_space(),
             explicit_dim: ctx.explicit.dim,
             n_classes: ctx.n_classes(),
-        };
-        let network = Network::build(config, dims, Params::new(), 21);
+        }
+    }
+
+    /// One training-objective evaluation (forward + backward, no update)
+    /// over the unshuffled train items: the whole-graph tape forward
+    /// with the shared step loss, or the per-node oracle. Returns the
+    /// scalar loss and the gradients.
+    fn epoch_grads(
+        config: &FakeDetectorConfig,
+        ctx: &ExperimentContext<'_>,
+        per_node: bool,
+    ) -> (f32, Vec<(fd_nn::ParamId, Matrix)>) {
+        let network = Network::build(config, dims_of(ctx), Params::new(), 21);
         let tape = Tape::new();
         let binding = Binding::new(&tape, &network.params);
         let items = ctx.train_items();
-        let loss = if batched {
-            let states = network.forward_states_batched(config, &binding, ctx);
-            let mut fit_rows: [Vec<Option<usize>>; 3] = Default::default();
-            let mut targets = Vec::new();
-            let mut within = Vec::new();
-            for &(ty, idx, target) in &items {
-                let slot = type_slot(ty);
-                within.push(fit_rows[slot].len());
-                fit_rows[slot].push(Some(idx));
-                targets.push(target);
-            }
-            let offsets = [0, fit_rows[0].len(), fit_rows[0].len() + fit_rows[1].len()];
-            let order: Vec<Option<usize>> = items
-                .iter()
-                .zip(&within)
-                .map(|(&(ty, _, _), &w)| Some(offsets[type_slot(ty)] + w))
-                .collect();
-            let mut stacked: Option<Var> = None;
-            for slot in 0..3 {
-                if fit_rows[slot].is_empty() {
-                    continue;
-                }
-                let sel = tape.gather_rows(states[slot], &fit_rows[slot]);
-                let logits = network.heads[slot].forward(&binding, sel);
-                stacked = Some(match stacked {
-                    Some(s) => tape.concat_rows(s, logits),
-                    None => logits,
-                });
-            }
-            let ordered = tape.gather_rows(stacked.unwrap(), &order);
-            let ce = tape.softmax_cross_entropy_rows(ordered, &targets);
-            let reg = binding.l2_term(&network.reg_ids);
-            tape.add(ce, tape.scale(reg, config.reg_alpha))
+        let loss = if per_node {
+            oracle::loss(&network, config, &binding, ctx, &items)
         } else {
-            let states = network.forward_states(config, &binding, ctx);
-            let mut losses: Vec<Var> = Vec::new();
-            for &(ty, idx, target) in &items {
-                let slot = type_slot(ty);
-                let logits = network.heads[slot].forward(&binding, states[slot][idx]);
-                losses.push(tape.softmax_cross_entropy(logits, target));
-            }
-            let reg = binding.l2_term(&network.reg_ids);
-            losses.push(tape.scale(reg, config.reg_alpha));
-            tape.sum_n(&losses)
+            let whole = Subgraph::whole(&ctx.corpus.graph);
+            let states = network.forward_states_subgraph(
+                config,
+                &binding,
+                ctx,
+                &whole,
+                config.diffusion_rounds,
+            );
+            let steps: Vec<(usize, usize, usize)> =
+                items.iter().map(|&(ty, idx, target)| (ty.slot(), idx, target)).collect();
+            step_loss(&network, &binding, &states, &steps, config.reg_alpha).0
         };
         tape.backward(loss);
         let loss_value = tape.with_value(loss, |m| m[(0, 0)]);
         (loss_value, binding.grads())
+    }
+
+    fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: width");
+        for (j, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}, dim {j}: {x} vs {y}");
+        }
     }
 
     fn assert_grads_close(
@@ -1487,16 +1238,16 @@ mod tests {
         }
     }
 
-    /// Tentpole contract: the batched epoch's loss is bit-equal to the
-    /// per-node tape's, and every parameter gradient agrees within
-    /// floating-point reassociation tolerance.
+    /// The batched epoch's loss is bit-equal to the per-node oracle's,
+    /// and every parameter gradient agrees within floating-point
+    /// reassociation tolerance.
     #[test]
     fn batched_epoch_matches_per_node_loss_and_gradients() {
         let f = fixture();
         let ctx = make_ctx(&f, 13);
         let config = FakeDetectorConfig::default();
-        let (loss_ref, grads_ref) = epoch_grads(&config, &ctx, false);
-        let (loss_bat, grads_bat) = epoch_grads(&config, &ctx, true);
+        let (loss_ref, grads_ref) = epoch_grads(&config, &ctx, true);
+        let (loss_bat, grads_bat) = epoch_grads(&config, &ctx, false);
         assert_eq!(
             loss_ref.to_bits(),
             loss_bat.to_bits(),
@@ -1513,7 +1264,7 @@ mod tests {
         let ctx = make_ctx(&f, 13);
         let config = FakeDetectorConfig::default();
         let run = |threads| {
-            fd_tensor::parallel::with_thread_count(threads, || epoch_grads(&config, &ctx, true))
+            fd_tensor::parallel::with_thread_count(threads, || epoch_grads(&config, &ctx, false))
         };
         let (loss_1, grads_1) = run(1);
         let (loss_4, grads_4) = run(4);
@@ -1524,36 +1275,53 @@ mod tests {
         }
     }
 
-    /// The batched tape states must be bitwise identical to both the
-    /// per-node tape states and the tape-free matrix states.
+    /// Both forwards — the tape forward over the whole graph and the
+    /// tape-free forward — reproduce the per-node oracle's states
+    /// bitwise, for the full model and every ablation.
     #[test]
-    fn forward_states_batched_is_bitwise_identical_to_tape_and_matrix() {
+    fn both_forwards_match_the_per_node_oracle_bitwise() {
         let f = fixture();
         let ctx = make_ctx(&f, 13);
-        let config = FakeDetectorConfig::default();
-        let dims = NetworkDims {
-            vocab: ctx.tokenized.vocab.id_space(),
-            explicit_dim: ctx.explicit.dim,
-            n_classes: ctx.n_classes(),
-        };
-        let network = Network::build(&config, dims, Params::new(), 21);
-
-        let tape = Tape::with_capacity(1 << 16);
-        let binding = Binding::new(&tape, &network.params);
-        let per_node = network.forward_states(&config, &binding, &ctx);
-        let batched = network.forward_states_batched(&config, &binding, &ctx);
-        let matrix = network.forward_states_matrix(&config, &ctx);
-
-        for slot in 0..3 {
-            tape.with_value(batched[slot], |bat| {
-                assert_eq!(bat.rows(), per_node[slot].len());
-                assert_eq!(bat.as_slice(), matrix[slot].as_slice(), "slot {slot} vs matrix");
+        let graph = &ctx.corpus.graph;
+        let counts = [graph.n_articles(), graph.n_creators(), graph.n_subjects()];
+        let whole = Subgraph::whole(graph);
+        let base = FakeDetectorConfig::default();
+        let configs = [
+            base.clone(),
+            FakeDetectorConfig { use_latent: false, ..base.clone() },
+            FakeDetectorConfig { use_explicit: false, ..base.clone() },
+            FakeDetectorConfig { use_gates: false, ..base.clone() },
+            FakeDetectorConfig { use_diffusion: false, ..base.clone() },
+            FakeDetectorConfig { diffusion_rounds: 3, ..base },
+        ];
+        for (c, config) in configs.iter().enumerate() {
+            let network = Network::build(config, dims_of(&ctx), Params::new(), 21);
+            let tape = Tape::with_capacity(1 << 16);
+            let binding = Binding::new(&tape, &network.params);
+            let per_node = oracle::states(&network, config, &binding, &ctx);
+            let taped = network.forward_states_subgraph(
+                config,
+                &binding,
+                &ctx,
+                &whole,
+                config.diffusion_rounds,
+            );
+            let free = network
+                .forward_states_rounds(config, graph, |slot| {
+                    HfluInput::gather(&ctx, NodeType::ALL[slot], 0..counts[slot])
+                })
+                .pop()
+                .expect("at least one round");
+            for slot in 0..3 {
+                let taped = tape.value(taped[slot]);
+                assert_eq!(taped.rows(), per_node[slot].len());
+                assert_bits_eq(taped.as_slice(), free[slot].as_slice(), &format!("config {c} slot {slot}"));
                 for (i, &var) in per_node[slot].iter().enumerate() {
                     tape.with_value(var, |m| {
-                        assert_eq!(m.row(0), bat.row(i), "slot {slot}, node {i}");
+                        assert_bits_eq(m.row(0), taped.row(i), &format!("config {c} slot {slot} node {i}"));
                     });
                 }
-            });
+            }
         }
     }
 
@@ -1587,8 +1355,8 @@ mod tests {
                 diffusion_rounds: rounds,
                 ..FakeDetectorConfig::default()
             };
-            let (loss_ref, grads_ref) = epoch_grads(&config, &ctx, false);
-            let (loss_bat, grads_bat) = epoch_grads(&config, &ctx, true);
+            let (loss_ref, grads_ref) = epoch_grads(&config, &ctx, true);
+            let (loss_bat, grads_bat) = epoch_grads(&config, &ctx, false);
             proptest::prop_assert_eq!(
                 loss_ref.to_bits(),
                 loss_bat.to_bits(),
@@ -1604,22 +1372,16 @@ mod tests {
         }
     }
 
-    /// A subgraph that covers the whole graph (every node seeded, fanout
-    /// unbounded) must be indistinguishable from the full-graph forward:
-    /// the compacted index space degenerates to the identity and every
-    /// sampled adjacency list is the complete CSR list, so the sampled
-    /// forward must reproduce `forward_states_batched` bitwise.
+    /// A sampled subgraph that covers the whole graph (every node seeded,
+    /// fanout unbounded) must be indistinguishable from the whole-graph
+    /// forward: the compacted index space degenerates to the identity
+    /// and every sampled adjacency list is the complete CSR list.
     #[test]
-    fn full_coverage_subgraph_forward_matches_batched_bitwise() {
+    fn full_coverage_sample_matches_whole_graph_forward_bitwise() {
         let f = fixture();
         let ctx = make_ctx(&f, 13);
         let config = FakeDetectorConfig::default();
-        let dims = NetworkDims {
-            vocab: ctx.tokenized.vocab.id_space(),
-            explicit_dim: ctx.explicit.dim,
-            n_classes: ctx.n_classes(),
-        };
-        let network = Network::build(&config, dims, Params::new(), 21);
+        let network = Network::build(&config, dims_of(&ctx), Params::new(), 21);
 
         // Seed every node of every type in index order: interning then
         // maps each global index to itself.
@@ -1629,76 +1391,18 @@ mod tests {
         seeds.extend((0..f.corpus.subjects.len()).map(|s| (NodeType::Subject, s)));
         let sampler = NeighborSampler::new(99, [usize::MAX; 3]);
         let sub = sample_subgraph(&f.corpus.graph, &sampler, &seeds, 0, 3);
-        for (slot, n) in [
-            f.corpus.articles.len(),
-            f.corpus.creators.len(),
-            f.corpus.subjects.len(),
-        ]
-        .iter()
-        .enumerate()
-        {
-            assert_eq!(sub.nodes[slot], (0..*n).collect::<Vec<_>>(), "slot {slot} compaction");
-        }
+        let whole = Subgraph::whole(&f.corpus.graph);
+        assert_eq!(sub.nodes, whole.nodes, "compaction");
 
         let tape = Tape::with_capacity(1 << 16);
         let binding = Binding::new(&tape, &network.params);
-        let batched = network.forward_states_batched(&config, &binding, &ctx);
-        let sampled =
-            network.forward_states_subgraph(&config, &binding, &ctx, &sub, config.diffusion_rounds);
+        let rounds = config.diffusion_rounds;
+        let expected = network.forward_states_subgraph(&config, &binding, &ctx, &whole, rounds);
+        let sampled = network.forward_states_subgraph(&config, &binding, &ctx, &sub, rounds);
         for slot in 0..3 {
-            let b = tape.value(batched[slot]);
-            let s = tape.value(sampled[slot]);
-            assert_eq!(b.shape(), s.shape(), "slot {slot} shape");
-            for (i, (x, y)) in b.as_slice().iter().zip(s.as_slice()).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "slot {slot}, flat index {i}: {x} vs {y}"
-                );
-            }
-        }
-    }
-
-    /// The batched forward must reproduce the tape forward *bitwise*,
-    /// state by state — not just up to arg-max. This is the contract the
-    /// blocked matmul's fixed reduction order exists to uphold.
-    #[test]
-    fn forward_states_matrix_is_bitwise_identical_to_tape() {
-        let f = fixture();
-        let ctx = ExperimentContext {
-            corpus: &f.corpus,
-            tokenized: &f.tokenized,
-            explicit: &f.explicit,
-            train: &f.train,
-            mode: LabelMode::Binary,
-            seed: 13,
-        };
-        let config = FakeDetectorConfig::default();
-        let dims = NetworkDims {
-            vocab: ctx.tokenized.vocab.id_space(),
-            explicit_dim: ctx.explicit.dim,
-            n_classes: ctx.n_classes(),
-        };
-        let network = Network::build(&config, dims, Params::new(), 21);
-
-        let tape = Tape::with_capacity(1 << 16);
-        let binding = Binding::new(&tape, &network.params);
-        let tape_states = network.forward_states(&config, &binding, &ctx);
-        let batched = network.forward_states_matrix(&config, &ctx);
-
-        for slot in 0..3 {
-            assert_eq!(batched[slot].rows(), tape_states[slot].len());
-            for (i, &var) in tape_states[slot].iter().enumerate() {
-                tape.with_value(var, |m| {
-                    for (j, (&a, &b)) in m.row(0).iter().zip(batched[slot].row(i)).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "state mismatch at slot {slot}, node {i}, dim {j}: {a} vs {b}"
-                        );
-                    }
-                });
-            }
+            let (e, s) = (tape.value(expected[slot]), tape.value(sampled[slot]));
+            assert_eq!(e.shape(), s.shape(), "slot {slot} shape");
+            assert_bits_eq(e.as_slice(), s.as_slice(), &format!("slot {slot}"));
         }
     }
 }

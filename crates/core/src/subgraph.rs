@@ -1,14 +1,21 @@
-//! Neighbour-sampled minibatch subgraphs for bounded-memory training.
+//! The node sets the diffusion runs over, and the neighbour lists it
+//! reads there.
+//!
+//! FakeDetector is one computation over different node sets: full-graph
+//! epochs and serving diffuse over the whole corpus graph, sampled
+//! training over a k-hop minibatch subgraph, and the ingest reference
+//! recompute over the overlay-extended graph. A [`Subgraph`] materialises
+//! any of them in its own row indices; [`Adjacency`] is what a diffusion
+//! round reads, served in place by the CSR graph and from the lists by a
+//! [`Subgraph`].
 //!
 //! `TrainMode::Sampled` steps do not record the whole News-HSN on the
 //! tape. Instead, each minibatch's training items become the *seed set*
 //! of a k-hop expansion: every frontier node contributes its author port
 //! plus a deterministic reservoir sample of its relation lists
 //! (`fd_graph::NeighborSampler`), and the union of everything reached is
-//! compacted into per-type local index spaces. The existing batched
-//! autograd ops (`gather_rows` / `mean_rows` / masked GRU recurrence)
-//! then run over the compacted node set only, so peak memory scales with
-//! `batch_size x fanout^hops` instead of the corpus.
+//! compacted into per-type local index spaces, so peak memory scales
+//! with `batch_size x fanout^hops` instead of the corpus.
 //!
 //! Determinism: the sampler is a pure function of `(seed, salt, node)`
 //! and the expansion visits nodes in discovery order, so a subgraph is a
@@ -16,31 +23,91 @@
 //! of `FD_THREADS` and of any other subgraph built before it. That is
 //! what keeps sampled runs bitwise-resumable from checkpoints.
 
-use crate::model::type_slot;
-use fd_graph::{HetGraph, NeighborSampler, NodeType};
+use fd_graph::{GraphOverlay, HetGraph, NeighborSampler, NodeType};
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
-/// A sampled k-hop neighbourhood subgraph, compacted to dense per-type
-/// local index spaces. Adjacency lists are in *local* indices and ready
-/// for `Tape::mean_rows` / `Tape::gather_rows`.
-pub(crate) struct SampledSubgraph {
+/// The four neighbour lists a diffusion round reads, in one node set's
+/// row indices.
+pub(crate) trait Adjacency: Sync {
+    /// Nodes per slot, `[articles, creators, subjects]`.
+    fn counts(&self) -> [usize; 3];
+    /// Subjects article `a` indicates (its z port).
+    fn subjects_of_article(&self, a: usize) -> &[usize];
+    /// The author of article `a` (its t port).
+    fn author_of(&self, a: usize) -> Option<usize>;
+    /// Articles creator `u` wrote (its z port).
+    fn articles_of_creator(&self, u: usize) -> &[usize];
+    /// Articles indicating subject `s` (its z port).
+    fn articles_of_subject(&self, s: usize) -> &[usize];
+}
+
+impl Adjacency for HetGraph {
+    fn counts(&self) -> [usize; 3] {
+        [self.n_articles(), self.n_creators(), self.n_subjects()]
+    }
+    fn subjects_of_article(&self, a: usize) -> &[usize] {
+        HetGraph::subjects_of_article(self, a)
+    }
+    fn author_of(&self, a: usize) -> Option<usize> {
+        HetGraph::author_of(self, a)
+    }
+    fn articles_of_creator(&self, u: usize) -> &[usize] {
+        HetGraph::articles_of_creator(self, u)
+    }
+    fn articles_of_subject(&self, s: usize) -> &[usize] {
+        HetGraph::articles_of_subject(self, s)
+    }
+}
+
+/// A node set compacted to dense per-type row indices, with its
+/// neighbour lists in those indices — ready for `Tape::mean_rows` /
+/// `Tape::gather_rows`, which hold the shared lists instead of copies.
+pub(crate) struct Subgraph {
     /// Global entity indices per type slot; position = compacted row.
     pub nodes: [Vec<usize>; 3],
     /// Where each seed landed, `(slot, local row)`, in seed order.
     pub seed_rows: Vec<(usize, usize)>,
-    /// Local article → sampled local subject rows.
-    pub subjects_of_article: Rc<Vec<Vec<usize>>>,
+    /// Local article → local subject rows.
+    pub subjects_of_article: Arc<Vec<Vec<usize>>>,
     /// Local article → local creator row (author port; `None` when the
     /// author was not reached — only possible for frontier-edge nodes).
     pub author: Vec<Option<usize>>,
-    /// Local creator → sampled local article rows.
-    pub articles_of_creator: Rc<Vec<Vec<usize>>>,
-    /// Local subject → sampled local article rows.
-    pub articles_of_subject: Rc<Vec<Vec<usize>>>,
+    /// Local creator → local article rows.
+    pub articles_of_creator: Arc<Vec<Vec<usize>>>,
+    /// Local subject → local article rows.
+    pub articles_of_subject: Arc<Vec<Vec<usize>>>,
 }
 
-impl SampledSubgraph {
+impl Subgraph {
+    /// The whole corpus graph: every node in index order, complete lists.
+    pub fn whole(graph: &HetGraph) -> Self {
+        Self::extended(&GraphOverlay::new(graph), graph)
+    }
+
+    /// The overlay-extended graph (base corpus plus ingested nodes) in
+    /// combined indices. A creator's or subject's list is its base CSR
+    /// slice followed by the overlay's extras, in ingestion order — the
+    /// order a from-scratch rebuild would use.
+    pub fn extended(overlay: &GraphOverlay, graph: &HetGraph) -> Self {
+        let [n_articles, n_creators, n_subjects] = overlay.counts();
+        let joined = |(base, extra): (&[usize], &[usize])| [base, extra].concat();
+        Self {
+            nodes: overlay.counts().map(|n| (0..n).collect()),
+            seed_rows: Vec::new(),
+            subjects_of_article: Arc::new(
+                (0..n_articles).map(|a| overlay.subjects_of_article(graph, a).to_vec()).collect(),
+            ),
+            author: (0..n_articles).map(|a| overlay.author_of(graph, a)).collect(),
+            articles_of_creator: Arc::new(
+                (0..n_creators).map(|u| joined(overlay.articles_of_creator(graph, u))).collect(),
+            ),
+            articles_of_subject: Arc::new(
+                (0..n_subjects).map(|s| joined(overlay.articles_of_subject(graph, s))).collect(),
+            ),
+        }
+    }
+
     /// Compacted nodes across all three types.
     pub fn n_nodes(&self) -> usize {
         self.nodes.iter().map(Vec::len).sum()
@@ -53,6 +120,24 @@ impl SampledSubgraph {
             + self.author.iter().flatten().count()
             + lists(&self.articles_of_creator)
             + lists(&self.articles_of_subject)
+    }
+}
+
+impl Adjacency for Subgraph {
+    fn counts(&self) -> [usize; 3] {
+        std::array::from_fn(|slot| self.nodes[slot].len())
+    }
+    fn subjects_of_article(&self, a: usize) -> &[usize] {
+        &self.subjects_of_article[a]
+    }
+    fn author_of(&self, a: usize) -> Option<usize> {
+        self.author[a]
+    }
+    fn articles_of_creator(&self, u: usize) -> &[usize] {
+        &self.articles_of_creator[u]
+    }
+    fn articles_of_subject(&self, s: usize) -> &[usize] {
+        &self.articles_of_subject[s]
     }
 }
 
@@ -90,7 +175,7 @@ pub(crate) fn sample_subgraph(
     seeds: &[(NodeType, usize)],
     hops: usize,
     salt: u64,
-) -> SampledSubgraph {
+) -> Subgraph {
     let mut nodes: [Vec<usize>; 3] = Default::default();
     let mut local_of: [HashMap<usize, usize>; 3] = Default::default();
     let mut frontier: Vec<(usize, usize)> = Vec::new();
@@ -98,7 +183,7 @@ pub(crate) fn sample_subgraph(
     let seed_rows: Vec<(usize, usize)> = seeds
         .iter()
         .map(|&(ty, idx)| {
-            let slot = type_slot(ty);
+            let slot = ty.slot();
             (slot, intern(&mut nodes, &mut local_of, &mut frontier, slot, idx))
         })
         .collect();
@@ -198,13 +283,13 @@ pub(crate) fn sample_subgraph(
             .push(buf.iter().filter_map(|a| local_of[0].get(a).copied()).collect());
     }
 
-    SampledSubgraph {
+    Subgraph {
         nodes,
         seed_rows,
-        subjects_of_article: Rc::new(subjects_of_article),
+        subjects_of_article: Arc::new(subjects_of_article),
         author,
-        articles_of_creator: Rc::new(articles_of_creator),
-        articles_of_subject: Rc::new(articles_of_subject),
+        articles_of_creator: Arc::new(articles_of_creator),
+        articles_of_subject: Arc::new(articles_of_subject),
     }
 }
 

@@ -9,12 +9,11 @@
 use crate::gdu::QuantGdu;
 use crate::incremental::StateView;
 use crate::model::{Network, NetworkDims};
-use crate::{FakeDetectorConfig, TrainReport};
-use fd_autograd::{Tape, Var};
+use crate::{FakeDetectorConfig, HfluInput, TrainReport};
 use fd_data::{ExperimentContext, Predictions};
 use fd_graph::NodeType;
-use fd_nn::{Binding, Params, QuantLinear};
-use fd_tensor::softmax_in_place;
+use fd_nn::{Params, QuantLinear};
+use fd_tensor::{softmax_in_place, Matrix};
 use fd_text::{encode_sequence, Tokenizer};
 use serde::{Deserialize, Serialize};
 
@@ -32,14 +31,6 @@ pub struct QuantModel {
 /// Total entities a transductive pass scores (all three node types).
 fn batch_size(ctx: &ExperimentContext<'_>) -> usize {
     ctx.corpus.articles.len() + ctx.corpus.creators.len() + ctx.corpus.subjects.len()
-}
-
-fn type_slot(ty: NodeType) -> usize {
-    match ty {
-        NodeType::Article => 0,
-        NodeType::Creator => 1,
-        NodeType::Subject => 2,
-    }
 }
 
 /// One inductive scoring request: the text of an entity that is *not*
@@ -154,9 +145,8 @@ impl TrainedFakeDetector {
     /// Arg-max predictions for every entity in the context's corpus.
     ///
     /// Runs the tape-free batched forward pass: all nodes of a type go
-    /// through one blocked matmul per layer instead of one tape replay
-    /// per node, and independent node types fan out across `FD_THREADS`.
-    /// Bit-identical to [`TrainedFakeDetector::predict_per_node`].
+    /// through one blocked matmul per layer, and independent node types
+    /// fan out across `FD_THREADS`.
     pub fn predict(&self, ctx: &ExperimentContext<'_>) -> Predictions {
         self.check_ctx(ctx);
         let latency =
@@ -167,7 +157,7 @@ impl TrainedFakeDetector {
             .record(batch as f64);
         fd_obs::counter("infer.predictions").add(batch as u64);
         fd_obs::event(fd_obs::Level::Debug, "infer.predict", &[("batch", batch.into())]);
-        let states = self.network.forward_states_matrix(&self.config, ctx);
+        let states = self.diffused_states(ctx);
         let mut predictions = Predictions::zeroed(ctx);
         for (slot, ty) in NodeType::ALL.iter().enumerate() {
             let logits =
@@ -180,30 +170,8 @@ impl TrainedFakeDetector {
         predictions
     }
 
-    /// The original per-node prediction path: replays the autograd tape
-    /// for every entity, exactly as training does. Kept as the reference
-    /// implementation the batched [`TrainedFakeDetector::predict`] is
-    /// regression-tested against, and as the serial baseline the bench
-    /// harness compares the batched path to.
-    pub fn predict_per_node(&self, ctx: &ExperimentContext<'_>) -> Predictions {
-        self.check_ctx(ctx);
-        let tape = Tape::with_capacity(1 << 16);
-        let binding = Binding::new(&tape, &self.network.params);
-        let states = self.network.forward_states(&self.config, &binding, ctx);
-        let mut predictions = Predictions::zeroed(ctx);
-        for (slot, ty) in NodeType::ALL.iter().enumerate() {
-            let out = predictions.for_type_mut(*ty);
-            for (idx, slot_out) in out.iter_mut().enumerate() {
-                let logits = self.network.heads[slot].forward(&binding, states[slot][idx]);
-                *slot_out = tape.with_value(logits, |m| m.row_argmax(0).index);
-            }
-        }
-        predictions
-    }
-
     /// Per-class probabilities for every entity, type-slot indexed
-    /// (articles, creators, subjects). Uses the batched forward pass;
-    /// probabilities are bit-identical to the per-node tape path.
+    /// (articles, creators, subjects), from the batched forward pass.
     ///
     /// ```
     /// # use fd_core::{FakeDetector, FakeDetectorConfig};
@@ -242,7 +210,7 @@ impl TrainedFakeDetector {
             .record(batch as f64);
         fd_obs::counter("infer.proba").add(batch as u64);
         fd_obs::event(fd_obs::Level::Debug, "infer.predict_proba", &[("batch", batch.into())]);
-        let states = self.network.forward_states_matrix(&self.config, ctx);
+        let states = self.diffused_states(ctx);
         let mut out: [Vec<Vec<f32>>; 3] = [Vec::new(), Vec::new(), Vec::new()];
         for (slot, states_of_type) in states.iter().enumerate() {
             let logits =
@@ -263,20 +231,22 @@ impl TrainedFakeDetector {
     /// the trained weights and the corpus, so a serving process computes
     /// them once at startup and reuses them for every inductive request;
     /// they are the neighbour-state inputs [`TrainedFakeDetector::score_batch`]
-    /// reads. Bit-identical to the per-node tape states.
-    pub fn diffused_states(&self, ctx: &ExperimentContext<'_>) -> [fd_tensor::Matrix; 3] {
-        self.check_ctx(ctx);
-        self.network.forward_states_matrix(&self.config, ctx)
+    /// reads.
+    pub fn diffused_states(&self, ctx: &ExperimentContext<'_>) -> [Matrix; 3] {
+        self.diffused_states_rounds(ctx).pop().expect("at least one diffusion round")
     }
 
     /// [`TrainedFakeDetector::diffused_states`] keeping every round's
-    /// state matrices (final element bit-identical to
-    /// `diffused_states`). The per-round history is the baseline that
-    /// incremental ingestion ([`TrainedFakeDetector::delta_states`])
-    /// diffs against.
-    pub fn diffused_states_rounds(&self, ctx: &ExperimentContext<'_>) -> Vec<[fd_tensor::Matrix; 3]> {
+    /// state matrices (the final element is `diffused_states`). The
+    /// per-round history is the baseline that incremental ingestion
+    /// ([`TrainedFakeDetector::delta_states`]) diffs against.
+    pub fn diffused_states_rounds(&self, ctx: &ExperimentContext<'_>) -> Vec<[Matrix; 3]> {
         self.check_ctx(ctx);
-        self.network.forward_states_rounds(&self.config, ctx)
+        let graph = &ctx.corpus.graph;
+        let counts = [graph.n_articles(), graph.n_creators(), graph.n_subjects()];
+        self.network.forward_states_rounds(&self.config, graph, |slot| {
+            HfluInput::gather(ctx, NodeType::ALL[slot], 0..counts[slot])
+        })
     }
 
     /// Checks a [`ScoreRequest`]'s neighbour indices against the corpus
@@ -342,17 +312,16 @@ impl TrainedFakeDetector {
     ///
     /// **Batching never changes an answer**: row `i` of every op here is
     /// independent of the other rows, so the probabilities for a request
-    /// are bit-identical whether it is scored alone, with any companions,
-    /// or through [`TrainedFakeDetector::score_new_article`]. That
-    /// invariant is what lets the serving layer batch opportunistically
-    /// under load without becoming nondeterministic.
+    /// are bit-identical whether it is scored alone or with any
+    /// companions. That invariant is what lets the serving layer batch
+    /// opportunistically under load without becoming nondeterministic.
     ///
     /// Returns `Err` (never panics) when a request fails
     /// [`TrainedFakeDetector::validate_request`].
     pub fn score_batch(
         &self,
         ctx: &ExperimentContext<'_>,
-        states: &[fd_tensor::Matrix; 3],
+        states: &[Matrix; 3],
         requests: &[ScoreRequest],
     ) -> Result<Vec<Vec<f32>>, String> {
         self.score_batch_view(ctx, &StateView::from_base(states), requests)
@@ -406,7 +375,7 @@ impl TrainedFakeDetector {
     pub fn score_batch_quant(
         &self,
         ctx: &ExperimentContext<'_>,
-        states: &[fd_tensor::Matrix; 3],
+        states: &[Matrix; 3],
         requests: &[ScoreRequest],
         quant: &QuantModel,
     ) -> Result<Vec<Vec<f32>>, String> {
@@ -436,8 +405,8 @@ impl TrainedFakeDetector {
     /// by-id lookups and ingest responses read state rows out of a
     /// [`StateView`] and score them here.
     pub fn node_probabilities(&self, ty: NodeType, state_row: &[f32]) -> Vec<f32> {
-        let slot = type_slot(ty);
-        let h = fd_tensor::Matrix::row_vector(state_row);
+        let slot = ty.slot();
+        let h = Matrix::row_vector(state_row);
         let logits = self.network.heads[slot].forward_matrix(&self.network.params, &h);
         let mut probs = logits.row(0).to_vec();
         softmax_in_place(&mut probs);
@@ -452,8 +421,8 @@ impl TrainedFakeDetector {
         ty: NodeType,
         state_row: &[f32],
     ) -> Vec<f32> {
-        let slot = type_slot(ty);
-        let h = fd_tensor::Matrix::row_vector(state_row);
+        let slot = ty.slot();
+        let h = Matrix::row_vector(state_row);
         let logits = quant.heads[slot].forward_matrix(&h);
         let mut probs = logits.row(0).to_vec();
         softmax_in_place(&mut probs);
@@ -470,7 +439,7 @@ impl TrainedFakeDetector {
         ctx: &ExperimentContext<'_>,
         view: &StateView<'_>,
         requests: &[ScoreRequest],
-        head_logits: impl Fn(usize, &fd_tensor::Matrix, &fd_tensor::Matrix, &fd_tensor::Matrix) -> fd_tensor::Matrix,
+        head_logits: impl Fn(usize, &Matrix, &Matrix, &Matrix) -> Matrix,
     ) -> Result<Vec<Vec<f32>>, String> {
         self.check_ctx(ctx);
         let counts = view.counts();
@@ -484,7 +453,7 @@ impl TrainedFakeDetector {
         let tokenizer = Tokenizer::default();
         let mut by_slot: [Vec<usize>; 3] = Default::default();
         for (i, req) in requests.iter().enumerate() {
-            by_slot[type_slot(req.node_type)].push(i);
+            by_slot[req.node_type.slot()].push(i);
         }
 
         let mut out: Vec<Vec<f32>> = vec![Vec::new(); requests.len()];
@@ -494,65 +463,31 @@ impl TrainedFakeDetector {
             }
             let n = members.len();
             let ty = NodeType::ALL[slot];
-            let mut explicit_rows = fd_tensor::Matrix::zeros(n, ctx.explicit.dim);
+            let mut explicit_rows = Matrix::zeros(n, ctx.explicit.dim);
             let mut sequences: Vec<Vec<usize>> = Vec::with_capacity(n);
-            // Neighbour lists for the mean port (z) and the gathered
-            // creator row for the direct port (t, articles only).
-            let mut z_lists: Vec<&[usize]> = Vec::with_capacity(n);
-            let mut t_rows: Vec<Option<usize>> = Vec::with_capacity(n);
             for (k, &ri) in members.iter().enumerate() {
-                let req = &requests[ri];
-                let tokens = tokenizer.tokenize(&req.text);
+                let tokens = tokenizer.tokenize(&requests[ri].text);
                 explicit_rows
                     .row_mut(k)
                     .copy_from_slice(ctx.explicit.featurise_tokens(ty, &tokens).row(0));
                 sequences.push(encode_sequence(&tokens, &ctx.tokenized.vocab, ctx.tokenized.seq_len));
-                if self.config.use_diffusion {
-                    z_lists.push(if slot == 0 { &req.subjects } else { &req.articles });
-                    t_rows.push(if slot == 0 { req.creator } else { None });
-                } else {
-                    z_lists.push(&[]);
-                    t_rows.push(None);
-                }
             }
             let seq_refs: Vec<&[usize]> = sequences.iter().map(Vec::as_slice).collect();
-            let x = self.network.hflu[slot].encode_raw_batch(
-                &self.network.params,
-                explicit_rows,
-                &seq_refs,
-            );
+            let x = self.network.hflu[slot]
+                .encode(&self.network.params, HfluInput::raw(explicit_rows, seq_refs));
             // Articles aggregate subject states and read their creator's
             // state; creators/subjects aggregate article states — the
-            // same wiring as one diffusion round of the full graph. The
-            // rows come out of the view (base matrix, ingest patch, or
-            // appended rows) with the exact `mean_rows`/`gather_rows`
-            // reduction order, so batching and overlays never change an
-            // answer.
-            let z_slot = if slot == 0 { 2 } else { 0 };
-            let mut z = fd_tensor::Matrix::zeros(n, hidden);
-            for (k, list) in z_lists.iter().enumerate() {
-                if let Some((&first, rest)) = list.split_first() {
-                    let row = z.row_mut(k);
-                    row.copy_from_slice(view.row(z_slot, first));
-                    for &j in rest {
-                        for (acc, &v) in row.iter_mut().zip(view.row(z_slot, j)) {
-                            *acc += v;
-                        }
-                    }
-                    let inv = 1.0 / list.len() as f32;
-                    for acc in row.iter_mut() {
-                        *acc *= inv;
-                    }
+            // same wiring as one diffusion round of the full graph, read
+            // through the view (base matrix, ingest patch, or appended
+            // rows), so batching and overlays never change an answer.
+            let (z, t_in) = view.gdu_inputs(slot, n, hidden, |k| {
+                let req = &requests[members[k]];
+                match (self.config.use_diffusion, slot) {
+                    (false, _) => (&[][..], &[][..], None),
+                    (true, 0) => (req.subjects.as_slice(), &[][..], req.creator),
+                    (true, _) => (req.articles.as_slice(), &[][..], None),
                 }
-            }
-            let mut t_in = fd_tensor::Matrix::zeros(n, hidden);
-            if slot == 0 {
-                for (k, r) in t_rows.iter().enumerate() {
-                    if let Some(u) = r {
-                        t_in.row_mut(k).copy_from_slice(view.row(1, *u));
-                    }
-                }
-            }
+            });
             let logits = head_logits(slot, &x, &z, &t_in);
             for (k, &ri) in members.iter().enumerate() {
                 let mut probs = logits.row(k).to_vec();
@@ -567,7 +502,11 @@ impl TrainedFakeDetector {
     /// its text is featurised with the trained word sets and vocabulary,
     /// and one article-GDU step is run against the diffused states of
     /// its (existing) creator and subjects. Returns per-class
-    /// probabilities under the training label mode.
+    /// probabilities under the training label mode — bit-identical to
+    /// the same request through [`TrainedFakeDetector::score_batch`],
+    /// which it wraps. It diffuses the whole corpus on every call;
+    /// callers scoring many articles should compute
+    /// [`TrainedFakeDetector::diffused_states`] once and batch.
     ///
     /// # Panics
     /// Panics when `creator`/`subjects` indices are out of range.
@@ -580,39 +519,13 @@ impl TrainedFakeDetector {
     ) -> Vec<f32> {
         self.check_ctx(ctx);
         fd_obs::counter("infer.new_article_scores").inc();
-        if let Some(u) = creator {
-            assert!(u < ctx.corpus.creators.len(), "score_new_article: creator {u} out of range");
+        let req = ScoreRequest::article(text, creator, subjects.to_vec());
+        if let Err(e) = self.validate_request(ctx, &req) {
+            panic!("score_new_article: {e}");
         }
-        assert!(
-            subjects.iter().all(|&s| s < ctx.corpus.subjects.len()),
-            "score_new_article: subject out of range"
-        );
-
-        let tokens = Tokenizer::default().tokenize(text);
-        let explicit = ctx.explicit.featurise_tokens(NodeType::Article, &tokens);
-        let sequence = encode_sequence(&tokens, &ctx.tokenized.vocab, ctx.tokenized.seq_len);
-
-        let tape = Tape::with_capacity(1 << 16);
-        let binding = Binding::new(&tape, &self.network.params);
-        let states = self.network.forward_states(&self.config, &binding, ctx);
-
-        let x = self.network.hflu[0].encode_raw(&binding, explicit, &sequence);
-        let zero = tape.leaf(fd_tensor::Matrix::zeros(1, self.config.gdu_hidden));
-        let z = if subjects.is_empty() || !self.config.use_diffusion {
-            zero
-        } else {
-            let vars: Vec<Var> = subjects.iter().map(|&s| states[2][s]).collect();
-            tape.mean_n(&vars)
-        };
-        let t_in = match creator {
-            Some(u) if self.config.use_diffusion => states[1][u],
-            _ => zero,
-        };
-        let h = self.network.gdu[0].forward(&binding, x, z, t_in, self.config.use_gates);
-        let logits = self.network.heads[0].forward(&binding, h);
-        let mut probs = tape.value(logits).into_vec();
-        softmax_in_place(&mut probs);
-        probs
+        let states = self.diffused_states(ctx);
+        let mut probs = self.score_batch(ctx, &states, &[req]).expect("request validated above");
+        probs.pop().expect("one request, one answer")
     }
 
     /// Serialises config + dimensions + weights + diagnostics to JSON.
@@ -678,7 +591,7 @@ impl TrainedFakeDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FakeDetector;
+    use crate::{oracle, FakeDetector};
     use fd_data::{
         generate, CvSplits, ExplicitFeatures, GeneratorConfig, LabelMode, TokenizedCorpus,
         TrainSets,
@@ -723,6 +636,13 @@ mod tests {
             ..crate::FakeDetectorConfig::default()
         };
         FakeDetector::new(config).fit(ctx)
+    }
+
+    fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: width");
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: {x} vs {y}");
+        }
     }
 
     fn sample_requests(f: &Fixture) -> Vec<ScoreRequest> {
@@ -772,10 +692,10 @@ mod tests {
         }
     }
 
-    /// The batched article path must agree bitwise with the original
-    /// per-request tape path (`score_new_article`).
+    /// The batched article step agrees bitwise with the per-node oracle,
+    /// and `score_new_article` is that same step.
     #[test]
-    fn score_batch_matches_score_new_article_bitwise() {
+    fn score_batch_matches_per_node_article_step_bitwise() {
         let f = fixture();
         let ctx = make_ctx(&f);
         let trained = quick_train(&ctx);
@@ -787,12 +707,74 @@ mod tests {
             ("only subjects", None, vec![1]),
         ];
         for (text, creator, subjects) in cases {
-            let reference = trained.score_new_article(&ctx, text, creator, &subjects);
+            let reference = oracle::score_article(&trained, &ctx, text, creator, &subjects);
             let req = ScoreRequest::article(text, creator, subjects.clone());
             let batched = trained.score_batch(&ctx, &states, &[req]).unwrap();
-            assert_eq!(reference.len(), batched[0].len());
-            for (x, y) in reference.iter().zip(&batched[0]) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{text}: {x} vs {y}");
+            let wrapped = trained.score_new_article(&ctx, text, creator, &subjects);
+            assert_bits_eq(&reference, &batched[0], text);
+            assert_bits_eq(&wrapped, &batched[0], text);
+        }
+    }
+
+    /// Transductive prediction agrees bitwise with the per-node oracle —
+    /// arg-max labels and probabilities — for the full model and every
+    /// ablation.
+    #[test]
+    fn predict_matches_per_node_oracle_across_ablations() {
+        let f = fixture();
+        let ctx = make_ctx(&f);
+        let base = crate::FakeDetectorConfig { epochs: 2, ..crate::FakeDetectorConfig::default() };
+        let configs = [
+            ("full", base.clone()),
+            ("no latent", crate::FakeDetectorConfig { use_latent: false, ..base.clone() }),
+            ("no explicit", crate::FakeDetectorConfig { use_explicit: false, ..base.clone() }),
+            ("no gates", crate::FakeDetectorConfig { use_gates: false, ..base.clone() }),
+            ("no diffusion", crate::FakeDetectorConfig { use_diffusion: false, ..base }),
+        ];
+        for (name, config) in configs {
+            let trained = FakeDetector::new(config).fit(&ctx);
+            let logits = oracle::logits(&trained, &ctx);
+            let predictions = trained.predict(&ctx);
+            let proba = trained.predict_proba(&ctx);
+            for (slot, ty) in NodeType::ALL.iter().enumerate() {
+                let labels = match ty {
+                    NodeType::Article => &predictions.articles,
+                    NodeType::Creator => &predictions.creators,
+                    NodeType::Subject => &predictions.subjects,
+                };
+                assert_eq!(labels.len(), logits[slot].len(), "{name}: {ty:?} count");
+                for (i, row) in logits[slot].iter().enumerate() {
+                    assert_eq!(labels[i], row.row_argmax(0).index, "{name}: {ty:?} {i} label");
+                    let mut probs = row.row(0).to_vec();
+                    softmax_in_place(&mut probs);
+                    assert_bits_eq(&probs, &proba[slot][i], &format!("{name}: {ty:?} {i}"));
+                }
+            }
+        }
+    }
+
+    /// Models saved while the config still carried `batched_training`
+    /// load, and predict exactly like the model that wrote them.
+    #[test]
+    fn saved_models_with_retired_batched_training_field_still_load() {
+        let f = fixture();
+        let ctx = make_ctx(&f);
+        let trained = quick_train(&ctx);
+        let json = trained.to_json();
+        for flag in ["true", "false"] {
+            let old = json.replacen(
+                "\"train_mode\":",
+                &format!("\"batched_training\":{flag},\"train_mode\":"),
+                1,
+            );
+            assert!(old.contains(&format!("\"batched_training\":{flag}")), "field not injected");
+            let loaded = TrainedFakeDetector::from_json(&old).unwrap();
+            assert_eq!(loaded.predict(&ctx), trained.predict(&ctx));
+            let (a, b) = (loaded.predict_proba(&ctx), trained.predict_proba(&ctx));
+            for slot in 0..3 {
+                for (i, (x, y)) in a[slot].iter().zip(&b[slot]).enumerate() {
+                    assert_bits_eq(x, y, &format!("batched_training {flag}: slot {slot} node {i}"));
+                }
             }
         }
     }

@@ -1,7 +1,7 @@
-//! Regression tests pinning the batched tape-free inference path to the
-//! per-node tape path: `predict` (batched) must return exactly the same
-//! predictions as `predict_per_node` (reference), for the full model and
-//! for every ablation, at any `FD_THREADS` setting.
+//! Regression test pinning the batched tape-free inference path to
+//! itself across `FD_THREADS`: predictions and probabilities must not
+//! depend on the thread count. (Parity with the per-node reference tape
+//! is checked inside fd-core, where that oracle lives.)
 
 use fd_core::{FakeDetector, FakeDetectorConfig};
 use fd_data::{
@@ -42,75 +42,10 @@ fn ctx(f: &Fixture) -> ExperimentContext<'_> {
     }
 }
 
-fn assert_parity(config: FakeDetectorConfig) {
-    let f = fixture();
-    let c = ctx(&f);
-    let trained = FakeDetector::new(config).fit(&c);
-    assert_eq!(trained.predict(&c), trained.predict_per_node(&c));
-}
-
 fn quick(overrides: impl FnOnce(&mut FakeDetectorConfig)) -> FakeDetectorConfig {
     let mut config = FakeDetectorConfig { epochs: 2, ..FakeDetectorConfig::default() };
     overrides(&mut config);
     config
-}
-
-#[test]
-fn batched_predict_matches_per_node_full_model() {
-    assert_parity(quick(|_| ()));
-}
-
-#[test]
-fn batched_predict_matches_per_node_without_latent() {
-    assert_parity(quick(|c| c.use_latent = false));
-}
-
-#[test]
-fn batched_predict_matches_per_node_without_explicit() {
-    assert_parity(quick(|c| c.use_explicit = false));
-}
-
-#[test]
-fn batched_predict_matches_per_node_without_gates() {
-    assert_parity(quick(|c| c.use_gates = false));
-}
-
-#[test]
-fn batched_predict_matches_per_node_without_diffusion() {
-    assert_parity(quick(|c| c.use_diffusion = false));
-}
-
-/// Training with the batched epoch graph must reproduce the per-node
-/// reference run end to end on a seeded smoke config: bit-equal first
-/// loss, the same early-stopping epoch, and matching final predictions.
-#[test]
-fn batched_training_reproduces_per_node_early_stopping() {
-    let f = fixture();
-    let c = ctx(&f);
-    let config = FakeDetectorConfig {
-        epochs: 12,
-        validation_fraction: 0.3,
-        patience: 2,
-        batched_training: false,
-        ..FakeDetectorConfig::default()
-    };
-    let reference = FakeDetector::new(config.clone()).fit(&c);
-    let batched =
-        FakeDetector::new(FakeDetectorConfig { batched_training: true, ..config }).fit(&c);
-    let (ref_report, bat_report) = (reference.report(), batched.report());
-    assert_eq!(
-        ref_report.losses[0].to_bits(),
-        bat_report.losses[0].to_bits(),
-        "first-epoch loss diverged: {} vs {}",
-        ref_report.losses[0],
-        bat_report.losses[0]
-    );
-    assert_eq!(
-        ref_report.losses.len(),
-        bat_report.losses.len(),
-        "early stopping fired at different epochs"
-    );
-    assert_eq!(reference.predict(&c), batched.predict(&c));
 }
 
 #[test]

@@ -28,14 +28,6 @@ pub struct TokenizedCorpus {
     pub seq_len: usize,
 }
 
-fn type_slot(ty: NodeType) -> usize {
-    match ty {
-        NodeType::Article => 0,
-        NodeType::Creator => 1,
-        NodeType::Subject => 2,
-    }
-}
-
 impl TokenizedCorpus {
     /// Tokenises every entity text and builds the vocabulary.
     ///
@@ -68,17 +60,17 @@ impl TokenizedCorpus {
 
     /// The tokens of entity `idx` of type `ty`.
     pub fn tokens(&self, ty: NodeType, idx: usize) -> &[String] {
-        &self.tokens[type_slot(ty)][idx]
+        &self.tokens[ty.slot()][idx]
     }
 
     /// The padded id sequence of entity `idx` of type `ty`.
     pub fn sequence(&self, ty: NodeType, idx: usize) -> &[usize] {
-        &self.sequences[type_slot(ty)][idx]
+        &self.sequences[ty.slot()][idx]
     }
 
     /// Number of entities of `ty`.
     pub fn count(&self, ty: NodeType) -> usize {
-        self.tokens[type_slot(ty)].len()
+        self.tokens[ty.slot()].len()
     }
 }
 
@@ -164,9 +156,9 @@ impl ExplicitFeatures {
         };
         let raw = |ty: NodeType, tokens: &[String]| -> Matrix {
             match &idf {
-                None => bow_features(tokens, &word_sets[type_slot(ty)]),
+                None => bow_features(tokens, &word_sets[ty.slot()]),
                 Some(models) => {
-                    models[type_slot(ty)].transform(tokens, &word_sets[type_slot(ty)])
+                    models[ty.slot()].transform(tokens, &word_sets[ty.slot()])
                 }
             }
         };
@@ -194,7 +186,7 @@ impl ExplicitFeatures {
 
     /// The `1 x dim` explicit feature row of entity `idx` of type `ty`.
     pub fn feature(&self, ty: NodeType, idx: usize) -> &Matrix {
-        &self.features[type_slot(ty)][idx]
+        &self.features[ty.slot()][idx]
     }
 
     /// Featurises an out-of-corpus token sequence with the word set (and
@@ -202,7 +194,7 @@ impl ExplicitFeatures {
     /// as the precomputed features — used for inductive scoring of new
     /// texts.
     pub fn featurise_tokens(&self, ty: NodeType, tokens: &[String]) -> Matrix {
-        let slot = type_slot(ty);
+        let slot = ty.slot();
         let mut f = match &self.idf {
             None => bow_features(tokens, &self.word_sets[slot]),
             Some(models) => models[slot].transform(tokens, &self.word_sets[slot]),

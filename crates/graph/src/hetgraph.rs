@@ -17,6 +17,16 @@ pub enum NodeType {
 impl NodeType {
     /// All three types, in the canonical order used for global indexing.
     pub const ALL: [NodeType; 3] = [NodeType::Article, NodeType::Creator, NodeType::Subject];
+
+    /// This type's position in [`NodeType::ALL`]: the index of its slot
+    /// in every per-type `[_; 3]` array.
+    pub const fn slot(self) -> usize {
+        match self {
+            NodeType::Article => 0,
+            NodeType::Creator => 1,
+            NodeType::Subject => 2,
+        }
+    }
 }
 
 /// A typed node reference: node `idx` within its type's index space.

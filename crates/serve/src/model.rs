@@ -273,14 +273,6 @@ struct IngestOverlay {
     states: StateOverlay,
 }
 
-fn type_slot(ty: NodeType) -> usize {
-    match ty {
-        NodeType::Article => 0,
-        NodeType::Creator => 1,
-        NodeType::Subject => 2,
-    }
-}
-
 fn type_name(ty: NodeType) -> &'static str {
     match ty {
         NodeType::Article => "article",
@@ -440,7 +432,7 @@ impl ServeModel {
     /// state — no featurisation, no batching. Errors name the valid
     /// range, so callers can map them to 404.
     pub fn score_node(&self, ty: NodeType, idx: usize) -> Result<Vec<f32>, String> {
-        let slot = type_slot(ty);
+        let slot = ty.slot();
         let counts = self.counts();
         if idx >= counts[slot] {
             return Err(format!(

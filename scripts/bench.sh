@@ -3,10 +3,9 @@
 #
 # * BENCH_tensor.json — seed-era naive tensor kernels vs the blocked
 #   serial kernels and the row-parallel path (FD_THREADS=4), plus a
-#   full model inference step (per-node tape replay vs batched
-#   tape-free forward).
-# * BENCH_train.json — full training epochs at Table-1 scale: the
-#   per-node reference tape vs the batched matrix-level graph across
+#   full model inference step (the tape-free forward) across
+#   FD_THREADS {1,2,4,8}.
+# * BENCH_train.json — full training epochs at Table-1 scale across
 #   FD_THREADS {1,2,4,8} (losses must be bit-identical at every width),
 #   plus a neighbour-sampled scale sweep (default corpus scales
 #   0.1/1/8 ≈ 1.4k/14k/112k articles) recording one sampled epoch's
@@ -15,6 +14,8 @@
 #   keep-alive clients against the in-process server, with every
 #   response verified bitwise against a sequential reference pass,
 #   plus the direct f32-vs-int8 scoring comparison and its parity gate.
+#   Its batch-size histogram and mean queue wait cover the measured
+#   concurrent pass alone (batch sizes must sum to its request count).
 # * BENCH_load.json — the open-loop overload harness against the full
 #   sharded tier (router + 2 shards × 2 replicas): a closed-loop probe
 #   rates the tier's capacity, then ≥100k requests are fired at fixed
