@@ -468,12 +468,12 @@ mod serve {
     //! a bug and the benchmark panics (which makes `scripts/bench.sh`
     //! fail loudly).
 
-    use fd_core::{FakeDetector, FakeDetectorConfig, ScoreRequest, TrainedFakeDetector};
+    use fd_core::{FakeDetector, FakeDetectorConfig, ScoreRequest};
     use fd_data::{
         generate, CvSplits, ExperimentContext, ExplicitFeatures, GeneratorConfig, LabelMode,
         TokenizedCorpus, TrainSets,
     };
-    use fd_serve::{HttpClient, Precision, ServeConfig, ServeModel, Server};
+    use fd_serve::{HttpClient, ServeConfig, ServeModel, Server};
     use fd_tensor::parallel;
     use rand::{rngs::StdRng, SeedableRng};
     use std::sync::Arc;
@@ -504,12 +504,10 @@ mod serve {
         )
     }
 
-    /// Trains a small model once and wraps the same weights in one
-    /// serving handle per precision (the int8 twin is built from a JSON
-    /// round-trip of the f32 weights, exactly as a reload would).
-    /// Shared with the `load` mode, which serves the f32 handle from
-    /// every worker of the sharded tier.
-    pub(super) fn build_models() -> (ServeModel, ServeModel) {
+    /// Trains a small model once and wraps it in a serving handle.
+    /// Shared with the `load` mode, which serves it from every worker
+    /// of the sharded tier.
+    pub(super) fn build_model() -> ServeModel {
         let seed = 42;
         let corpus = generate(&GeneratorConfig::politifact().scaled(0.02), seed);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -536,31 +534,12 @@ mod serve {
         };
         let trained = FakeDetector::new(config).fit(&ctx);
         drop((tokenized, explicit));
-        let twin = TrainedFakeDetector::from_json(&trained.to_json()).expect("weights round-trip");
-        let f32_model = ServeModel::new(
-            corpus.clone(),
-            trained,
-            train.clone(),
-            LabelMode::Binary,
-            explicit_dim,
-            seq_len,
-            max_vocab,
-        );
-        let int8_model =
-            ServeModel::new(corpus, twin, train, LabelMode::Binary, explicit_dim, seq_len, max_vocab)
-                .with_precision(Precision::Int8);
-        (f32_model, int8_model)
+        ServeModel::new(corpus, trained, train, LabelMode::Binary, explicit_dim, seq_len, max_vocab)
     }
 
-    /// Direct (in-process, no HTTP) scoring comparison: an FD_THREADS
-    /// sweep of the f32 batch scorer plus f32-vs-int8 throughput and
-    /// the measured parity numbers the docs quote.
-    fn precision_section(
-        f32_model: &ServeModel,
-        int8_model: &ServeModel,
-        creators: usize,
-        subjects: usize,
-    ) -> serde_json::Value {
+    /// Direct (in-process, no HTTP) scoring: the batch scorer's time and
+    /// throughput on one 64-request batch, swept over FD_THREADS.
+    fn scoring_section(model: &ServeModel, creators: usize, subjects: usize) -> serde_json::Value {
         let requests: Vec<ScoreRequest> = (0..64)
             .map(|i| {
                 ScoreRequest::article(
@@ -571,7 +550,7 @@ mod serve {
             })
             .collect();
 
-        let median_batch_ms = |model: &ServeModel| {
+        let median_batch_ms = || {
             let mut samples: Vec<f64> = (0..5)
                 .map(|_| {
                     let start = Instant::now();
@@ -585,39 +564,14 @@ mod serve {
 
         let sweep: Vec<(usize, f64)> = super::SWEEP_WIDTHS
             .iter()
-            .map(|&t| (t, parallel::with_thread_count(t, || median_batch_ms(f32_model))))
+            .map(|&t| (t, parallel::with_thread_count(t, median_batch_ms)))
             .collect();
-
-        let f32_ms = sweep[0].1;
-        let int8_ms = parallel::with_thread_count(1, || median_batch_ms(int8_model));
-
-        let exact = f32_model.score(&requests).expect("f32 scores");
-        let quant = int8_model.score(&requests).expect("int8 scores");
-        let mut max_abs_delta = 0.0f32;
-        let mut labels_match = true;
-        for (e, q) in exact.iter().zip(&quant) {
-            for (a, b) in e.iter().zip(q) {
-                max_abs_delta = max_abs_delta.max((a - b).abs());
-            }
-            let argmax = |p: &[f32]| {
-                p.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(j, _)| j)
-            };
-            labels_match &= argmax(e) == argmax(q);
-        }
-        assert!(labels_match, "int8 serving path flipped a label vs f32");
-        assert!(max_abs_delta <= 4e-3, "int8 parity gate violated: max |Δ| {max_abs_delta}");
-
-        let rps = |ms: f64| (requests.len() as f64 / (ms / 1e3) * 100.0).round() / 100.0;
+        let batch_ms = sweep[0].1;
         serde_json::json!({
             "requests_per_batch": requests.len(),
+            "batch_ms": round2(batch_ms),
+            "throughput_rps": (requests.len() as f64 / (batch_ms / 1e3) * 100.0).round() / 100.0,
             "thread_scaling": super::scaling_curve(&sweep),
-            "f32_batch_ms": round2(f32_ms),
-            "int8_batch_ms": round2(int8_ms),
-            "f32_throughput_rps": rps(f32_ms),
-            "int8_throughput_rps": rps(int8_ms),
-            "int8_speedup_vs_f32": round2(f32_ms / int8_ms),
-            "int8_max_abs_delta": max_abs_delta,
-            "int8_labels_match": labels_match,
         })
     }
 
@@ -697,10 +651,9 @@ mod serve {
 
     pub fn write_report(out_path: &str, clients: usize, per_client: usize) {
         assert!(clients >= 1 && per_client >= 1, "need at least one client and request");
-        let (model, int8_model) = build_models();
+        let model = build_model();
         let (articles, creators, subjects) = model.corpus_sizes();
-        let precision_json = precision_section(&model, &int8_model, creators, subjects);
-        drop(int8_model);
+        let scoring_json = scoring_section(&model, creators, subjects);
         let config = ServeConfig { addr: "127.0.0.1:0".into(), ..ServeConfig::default() };
         let server = Server::start(Arc::new(model), &config).expect("start server");
         let addr = server.local_addr().to_string();
@@ -817,7 +770,7 @@ mod serve {
             "bitwise_identical_to_sequential": true,
             "graceful_shutdown_ms": round2(shutdown_ms),
             "trace": trace_json,
-            "precision": precision_json,
+            "scoring": scoring_json,
         });
         let json = serde_json::to_string_pretty(&report).expect("serialise report");
         std::fs::write(out_path, &json).unwrap_or_else(|e| panic!("{out_path}: {e}"));
@@ -1099,9 +1052,7 @@ mod load {
 
     pub fn write_report(out_path: &str, total_requests: usize, slo_ms: f64) {
         assert!(total_requests >= 1_000, "need at least 1000 requests for stable percentiles");
-        let (model, int8_model) = super::serve::build_models();
-        drop(int8_model);
-        let model = Arc::new(model);
+        let model = Arc::new(super::serve::build_model());
         let (articles, creators, subjects) = model.corpus_sizes();
 
         // The tier: 2 shards × 2 replicas plus the unsharded control,

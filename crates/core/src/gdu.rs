@@ -20,7 +20,7 @@
 
 use fd_autograd::Var;
 use fd_nn::{Binding, ParamId, Params};
-use fd_tensor::{stable_sigmoid, xavier_uniform, Matrix, QuantMatrix};
+use fd_tensor::{stable_sigmoid, xavier_uniform, Matrix};
 use rand::Rng;
 
 /// One GDU parameter set (shared across diffusion rounds for one node
@@ -159,69 +159,6 @@ impl GduCell {
         vec![self.wf, self.we, self.wg, self.wr, self.wu]
     }
 
-    /// Builds the int8 serving twin of this cell: all five gate
-    /// matrices quantized per output column (see
-    /// [`fd_tensor::QuantMatrix`]); dimensions and gate wiring carry
-    /// over unchanged.
-    pub fn quantize(&self, params: &Params) -> QuantGdu {
-        let q = |w: ParamId| QuantMatrix::from_matrix(params.value(w));
-        QuantGdu {
-            wf: q(self.wf),
-            we: q(self.we),
-            wg: q(self.wg),
-            wr: q(self.wr),
-            wu: q(self.wu),
-        }
-    }
-}
-
-/// Reduced-precision serving twin of [`GduCell`]: the same gate wiring
-/// as [`GduCell::forward_matrix`], with every `xzt · W` product running
-/// through int8 weights and exact integer accumulation. Activations
-/// (sigmoid/tanh/elementwise products) stay in f32. Inference only.
-#[derive(Debug, Clone)]
-pub struct QuantGdu {
-    wf: QuantMatrix,
-    we: QuantMatrix,
-    wg: QuantMatrix,
-    wr: QuantMatrix,
-    wu: QuantMatrix,
-}
-
-impl QuantGdu {
-    /// Quantized twin of [`GduCell::forward_matrix`]: identical control
-    /// flow and elementwise arithmetic, int8 matrix products. The
-    /// integer accumulation is order-independent, so the result is
-    /// bit-identical at any `FD_THREADS`.
-    pub fn forward_matrix(&self, x: &Matrix, z: &Matrix, t_in: &Matrix, use_gates: bool) -> Matrix {
-        let xzt = x.concat_cols(z).concat_cols(t_in);
-        let gate = |w: &QuantMatrix| w.matmul_quant(&xzt).map(stable_sigmoid);
-
-        let (z_tilde, t_tilde) = if use_gates {
-            (gate(&self.wf).mul(z), gate(&self.we).mul(t_in))
-        } else {
-            (z.clone(), t_in.clone())
-        };
-
-        let g = gate(&self.wg);
-        let r = gate(&self.wr);
-        let og = g.map(|v| 1.0 - v);
-        let or = r.map(|v| 1.0 - v);
-
-        let branch = |zz: &Matrix, tt: &Matrix| -> Matrix {
-            self.wu.matmul_quant(&x.concat_cols(zz).concat_cols(tt)).map(f32::tanh)
-        };
-        let b1 = branch(&z_tilde, &t_tilde);
-        let b2 = branch(z, &t_tilde);
-        let b3 = branch(&z_tilde, t_in);
-        let b4 = branch(z, t_in);
-
-        let p1 = g.mul(&r).mul(&b1);
-        let p2 = og.mul(&r).mul(&b2);
-        let p3 = g.mul(&or).mul(&b3);
-        let p4 = og.mul(&or).mul(&b4);
-        p1.add(&p2).add(&p3).add(&p4)
-    }
 }
 
 #[cfg(test)]

@@ -285,7 +285,8 @@ impl TrainedFakeDetector {
     /// result is bit-identical to the same row of
     /// [`TrainedFakeDetector::extended_states_rounds`]; the serving
     /// layer documents the looser `≤ 1e-5` score bound so the
-    /// implementation keeps the freedom the int8 path already has.
+    /// implementation keeps the freedom to trade exactness for bounded
+    /// work later.
     pub fn delta_states(
         &self,
         ctx: &ExperimentContext<'_>,

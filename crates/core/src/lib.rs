@@ -41,11 +41,11 @@ mod trained;
 
 pub use checkpoint::FitOptions;
 pub use config::{FakeDetectorConfig, TrainMode};
-pub use gdu::{GduCell, QuantGdu};
+pub use gdu::GduCell;
 pub use hflu::{Hflu, HfluInput};
 pub use incremental::{DeltaCost, RoundDelta, StateOverlay, StateView};
 pub use model::{FakeDetector, TrainReport};
-pub use trained::{QuantModel, ScoreRequest, TrainedFakeDetector};
+pub use trained::{ScoreRequest, TrainedFakeDetector};
 
 /// A [`TrainedFakeDetector`] is a plain-data weight store, so one
 /// instance can be shared across serving threads behind an `Arc`;

@@ -6,27 +6,15 @@
 //! against the already-trained network without retraining, using its
 //! author's and subjects' diffused states.
 
-use crate::gdu::QuantGdu;
 use crate::incremental::StateView;
 use crate::model::{Network, NetworkDims};
 use crate::{FakeDetectorConfig, HfluInput, TrainReport};
 use fd_data::{ExperimentContext, Predictions};
 use fd_graph::NodeType;
-use fd_nn::{Params, QuantLinear};
+use fd_nn::Params;
 use fd_tensor::{softmax_in_place, Matrix};
 use fd_text::{encode_sequence, Tokenizer};
 use serde::{Deserialize, Serialize};
-
-/// Reduced-precision serving twin of a [`TrainedFakeDetector`]: int8
-/// copies of the three GDU cells and classification heads, built once
-/// by [`TrainedFakeDetector::quantize`] and used by
-/// [`TrainedFakeDetector::score_batch_quant`]. The original model stays
-/// authoritative — this is a derived, inference-only artifact.
-#[derive(Debug, Clone)]
-pub struct QuantModel {
-    gdu: [QuantGdu; 3],
-    heads: [QuantLinear; 3],
-}
 
 /// Total entities a transductive pass scores (all three node types).
 fn batch_size(ctx: &ExperimentContext<'_>) -> usize {
@@ -339,108 +327,6 @@ impl TrainedFakeDetector {
         view: &StateView<'_>,
         requests: &[ScoreRequest],
     ) -> Result<Vec<Vec<f32>>, String> {
-        self.score_batch_with(ctx, view, requests, |slot, x, z, t_in| {
-            let h = self.network.gdu[slot].forward_matrix(
-                &self.network.params,
-                x,
-                z,
-                t_in,
-                self.config.use_gates,
-            );
-            self.network.heads[slot].forward_matrix(&self.network.params, &h)
-        })
-    }
-
-    /// Builds the reduced-precision serving twin of this model: the
-    /// three GDU cells and classification heads with int8 weights (per
-    /// output column scales). Text encoding, the precomputed diffused
-    /// `states`, and training itself stay exact f32 — only the one GDU
-    /// step and head matmul per request are quantized, which is where
-    /// nearly all the per-request multiply work lives.
-    pub fn quantize(&self) -> QuantModel {
-        QuantModel {
-            gdu: std::array::from_fn(|s| self.network.gdu[s].quantize(&self.network.params)),
-            heads: std::array::from_fn(|s| self.network.heads[s].quantize(&self.network.params)),
-        }
-    }
-
-    /// [`TrainedFakeDetector::score_batch`] through a prebuilt
-    /// [`QuantModel`]: identical featurisation, neighbour aggregation,
-    /// and softmax, with the GDU step and head running on int8 weights.
-    /// The parity tests gate this path at max |Δscore| ≤ 4e-3
-    /// (measured ~2e-3 on the seeded parity corpus) and *identical*
-    /// arg-max labels vs [`TrainedFakeDetector::score_batch`]; the
-    /// exact-parity ≤ 1e-3 guarantee belongs to `--precision f32`,
-    /// which runs [`TrainedFakeDetector::score_batch`] unchanged.
-    pub fn score_batch_quant(
-        &self,
-        ctx: &ExperimentContext<'_>,
-        states: &[Matrix; 3],
-        requests: &[ScoreRequest],
-        quant: &QuantModel,
-    ) -> Result<Vec<Vec<f32>>, String> {
-        self.score_batch_view_quant(ctx, &StateView::from_base(states), requests, quant)
-    }
-
-    /// [`TrainedFakeDetector::score_batch_view`] through a prebuilt
-    /// [`QuantModel`] — the int8 twin of the view-based scorer, same
-    /// parity gates as [`TrainedFakeDetector::score_batch_quant`].
-    pub fn score_batch_view_quant(
-        &self,
-        ctx: &ExperimentContext<'_>,
-        view: &StateView<'_>,
-        requests: &[ScoreRequest],
-        quant: &QuantModel,
-    ) -> Result<Vec<Vec<f32>>, String> {
-        self.score_batch_with(ctx, view, requests, |slot, x, z, t_in| {
-            let h = quant.gdu[slot].forward_matrix(x, z, t_in, self.config.use_gates);
-            quant.heads[slot].forward_matrix(&h)
-        })
-    }
-
-    /// Per-class probabilities of a node already in the (live) graph,
-    /// from its final-round diffused state row: one head matmul plus
-    /// softmax, bit-identical to the corresponding row of
-    /// [`TrainedFakeDetector::predict_proba`]. The serving layer's
-    /// by-id lookups and ingest responses read state rows out of a
-    /// [`StateView`] and score them here.
-    pub fn node_probabilities(&self, ty: NodeType, state_row: &[f32]) -> Vec<f32> {
-        let slot = ty.slot();
-        let h = Matrix::row_vector(state_row);
-        let logits = self.network.heads[slot].forward_matrix(&self.network.params, &h);
-        let mut probs = logits.row(0).to_vec();
-        softmax_in_place(&mut probs);
-        probs
-    }
-
-    /// [`TrainedFakeDetector::node_probabilities`] through the int8
-    /// head of a prebuilt [`QuantModel`] (diffused states stay f32).
-    pub fn node_probabilities_quant(
-        &self,
-        quant: &QuantModel,
-        ty: NodeType,
-        state_row: &[f32],
-    ) -> Vec<f32> {
-        let slot = ty.slot();
-        let h = Matrix::row_vector(state_row);
-        let logits = quant.heads[slot].forward_matrix(&h);
-        let mut probs = logits.row(0).to_vec();
-        softmax_in_place(&mut probs);
-        probs
-    }
-
-    /// Shared implementation behind the exact and quantized batch
-    /// scorers: everything up to the GDU input (featurisation, HFLU
-    /// encode, neighbour mean, creator gather) and the final softmax is
-    /// common; `head_logits(slot, x, z, t_in)` supplies the
-    /// precision-specific GDU + head evaluation.
-    fn score_batch_with(
-        &self,
-        ctx: &ExperimentContext<'_>,
-        view: &StateView<'_>,
-        requests: &[ScoreRequest],
-        head_logits: impl Fn(usize, &Matrix, &Matrix, &Matrix) -> Matrix,
-    ) -> Result<Vec<Vec<f32>>, String> {
         self.check_ctx(ctx);
         let counts = view.counts();
         for (i, req) in requests.iter().enumerate() {
@@ -488,7 +374,9 @@ impl TrainedFakeDetector {
                     (true, _) => (req.articles.as_slice(), &[][..], None),
                 }
             });
-            let logits = head_logits(slot, &x, &z, &t_in);
+            let gdu = &self.network.gdu[slot];
+            let h = gdu.forward_matrix(&self.network.params, &x, &z, &t_in, self.config.use_gates);
+            let logits = self.network.heads[slot].forward_matrix(&self.network.params, &h);
             for (k, &ri) in members.iter().enumerate() {
                 let mut probs = logits.row(k).to_vec();
                 softmax_in_place(&mut probs);
@@ -496,6 +384,21 @@ impl TrainedFakeDetector {
             }
         }
         Ok(out)
+    }
+
+    /// Per-class probabilities of a node already in the (live) graph,
+    /// from its final-round diffused state row: one head matmul plus
+    /// softmax, bit-identical to the corresponding row of
+    /// [`TrainedFakeDetector::predict_proba`]. The serving layer's
+    /// by-id lookups and ingest responses read state rows out of a
+    /// [`StateView`] and score them here.
+    pub fn node_probabilities(&self, ty: NodeType, state_row: &[f32]) -> Vec<f32> {
+        let slot = ty.slot();
+        let h = Matrix::row_vector(state_row);
+        let logits = self.network.heads[slot].forward_matrix(&self.network.params, &h);
+        let mut probs = logits.row(0).to_vec();
+        softmax_in_place(&mut probs);
+        probs
     }
 
     /// **Inductive** scoring of an article that is *not* in the corpus:

@@ -3,27 +3,8 @@
 
 use crate::{Binding, ParamId, Params};
 use fd_autograd::{RowAccum, Var};
-use fd_tensor::{xavier_uniform, Matrix, QuantMatrix};
+use fd_tensor::{xavier_uniform, Matrix};
 use rand::Rng;
-
-/// Int8 serving twin of [`Linear`]: owns quantized weights (decoupled
-/// from the [`Params`] store) plus the exact f32 bias. Inference only —
-/// there is no backward.
-#[derive(Debug, Clone)]
-pub struct QuantLinear {
-    w: QuantMatrix,
-    b: Matrix,
-}
-
-impl QuantLinear {
-    /// `x · Wq + b`, the reduced-precision twin of
-    /// [`Linear::forward_matrix`]. The int8 product accumulates in
-    /// exact integer arithmetic, so the result is bit-identical at any
-    /// `FD_THREADS`.
-    pub fn forward_matrix(&self, x: &Matrix) -> Matrix {
-        self.w.matmul_quant(x).add_row_broadcast(&self.b)
-    }
-}
 
 /// Affine layer `x · W + b`.
 #[derive(Debug, Clone, Copy)]
@@ -72,16 +53,6 @@ impl Linear {
     /// This layer's parameter handles, for regularisation terms.
     pub fn param_ids(&self) -> Vec<ParamId> {
         vec![self.w, self.b]
-    }
-
-    /// Builds the int8 serving twin of this layer: weights quantized
-    /// per output column, bias kept in f32 (it is one row and adds no
-    /// multiply error).
-    pub fn quantize(&self, params: &Params) -> QuantLinear {
-        QuantLinear {
-            w: QuantMatrix::from_matrix(params.value(self.w)),
-            b: params.value(self.b).clone(),
-        }
     }
 }
 

@@ -47,7 +47,7 @@ mod schedule;
 
 pub use binding::Binding;
 pub use clip::{clip_global_norm, global_norm};
-pub use layers::{Embedding, GruCell, GruEncoder, Linear, QuantLinear};
+pub use layers::{Embedding, GruCell, GruEncoder, Linear};
 pub use optim::{AdaGrad, Adam, AdamState, Optimizer, Sgd};
 pub use params::{ParamId, Params};
 pub use schedule::Schedule;

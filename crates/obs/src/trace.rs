@@ -10,12 +10,14 @@
 //! three threads produced them.
 //!
 //! Completed spans land in a fixed-capacity ring buffer: producers
-//! claim a slot with one `fetch_add` and publish it seqlock-style
-//! (odd sequence while writing, a ticket-unique even value when
-//! stable), so recording never blocks and the newest spans overwrite
-//! the oldest under overload. Readers ([`export_chrome_json`],
-//! [`take_spans`]) discard any slot whose sequence moved while they
-//! were reading it — a torn span can never be observed.
+//! take a ticket with one `fetch_add`, claim its slot with a
+//! compare-exchange and publish it seqlock-style (odd sequence while
+//! writing, a ticket-unique even value when stable), so recording
+//! never blocks and the newest spans overwrite the oldest under
+//! overload; a span whose slot another writer holds is dropped.
+//! Readers ([`export_chrome_json`], [`take_spans`]) discard any slot
+//! whose sequence moved while they were reading it — a torn span can
+//! never be observed.
 //!
 //! Gating mirrors `FD_LOG`:
 //!
@@ -365,23 +367,42 @@ fn ring() -> &'static Ring {
 }
 
 impl Ring {
-    /// Lock-free push: claim a ticket, mark the slot as in-write (odd
-    /// seq), store the fields, publish with the ticket's unique even
-    /// seq. Under wrap-around contention the last writer wins and any
-    /// reader that raced sees a seq mismatch and discards the slot.
+    /// Lock-free push: take a ticket, claim its slot by swapping a
+    /// stable seq (0 or even) older than the ticket for the ticket's odd
+    /// seq, store the fields, publish with the ticket's unique even
+    /// seq. Tickets `t` and `t + RING_CAPACITY` share a slot; the claim
+    /// gives it one writer at a time, so a span that finds the slot
+    /// held, or already holding a newer span, is dropped instead of
+    /// being interleaved with the other write.
     fn push(&self, ctx: &TraceCtx, name: &'static str, start_us: u64, dur_us: u64) {
         let name_id = intern(name);
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket % RING_CAPACITY as u64) as usize];
-        slot.seq.store(ticket * 2 + 1, Ordering::Release);
+        let writing = ticket * 2 + 1;
+        let mut current = slot.seq.load(Ordering::Relaxed);
+        loop {
+            if current % 2 == 1 || current > writing {
+                return;
+            }
+            match slot.seq.compare_exchange_weak(
+                current,
+                writing,
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break,
+                Err(seen) => current = seen,
+            }
+        }
+        // The odd seq must be visible before any field store is.
+        fence(Ordering::Release);
         slot.trace_id.store(ctx.trace_id, Ordering::Relaxed);
         slot.span_id.store(ctx.span_id, Ordering::Relaxed);
         slot.parent_id.store(ctx.parent_id, Ordering::Relaxed);
         slot.name_id.store(name_id, Ordering::Relaxed);
         slot.start_us.store(start_us, Ordering::Relaxed);
         slot.dur_us.store(dur_us, Ordering::Relaxed);
-        fence(Ordering::Release);
-        slot.seq.store(ticket * 2 + 2, Ordering::Release);
+        slot.seq.store(writing + 1, Ordering::Release);
     }
 
     /// Reads every stable slot, discarding any that a concurrent
@@ -411,12 +432,16 @@ impl Ring {
         out
     }
 
-    /// `collect` + clear: marks every slot empty again so tests and
-    /// repeated flushes see only new spans.
+    /// `collect` + clear: marks every stable slot empty again so tests
+    /// and repeated flushes see only new spans. A slot a writer holds is
+    /// left to that writer: only a stable seq is swapped for 0.
     fn drain(&self) -> Vec<Span> {
         let spans = self.collect();
         for slot in self.slots.iter() {
-            slot.seq.store(0, Ordering::Release);
+            let seq = slot.seq.load(Ordering::Relaxed);
+            if seq % 2 == 0 {
+                let _ = slot.seq.compare_exchange(seq, 0, Ordering::AcqRel, Ordering::Relaxed);
+            }
         }
         spans
     }

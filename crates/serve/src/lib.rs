@@ -54,7 +54,7 @@ pub use batch::{Batch, BatchQueue, EnqueueError, ScoreResult};
 pub use http::{bind_reuse, HttpClient, HttpError, Request};
 pub use model::{
     mode_name, parse_mode, BundleSplit, IngestArticle, IngestBatch, IngestCreator, IngestReport,
-    IngestSubject, IngestedNode, Precision, ServeModel, TrainBundle,
+    IngestSubject, IngestedNode, ServeModel, TrainBundle,
 };
 pub use server::{
     install_signal_handlers, retry_after_secs, signal_received, take_reload_request, ModelSlot,

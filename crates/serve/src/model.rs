@@ -7,7 +7,7 @@
 //! per request. It is `Send + Sync` and lives behind an `Arc` shared
 //! by every handler thread and the batcher.
 
-use fd_core::{QuantModel, ScoreRequest, StateOverlay, StateView, TrainedFakeDetector};
+use fd_core::{ScoreRequest, StateOverlay, StateView, TrainedFakeDetector};
 use fd_data::{
     Corpus, Credibility, ExperimentContext, ExplicitFeatures, LabelMode, TokenizedCorpus,
     TrainSets,
@@ -77,55 +77,6 @@ pub fn mode_name(mode: LabelMode) -> &'static str {
     match mode {
         LabelMode::Binary => "binary",
         LabelMode::MultiClass => "multi",
-    }
-}
-
-/// Numeric precision of the serving forward pass, selected by
-/// `fdctl serve --precision`.
-///
-/// * [`Precision::F32`] (default) — the exact native path: bit-identical
-///   to training-time inference and to `fdctl score`.
-/// * [`Precision::Int8`] — int8 weights with 16-bit activation
-///   quantization for the GDU step and classification head; gated by
-///   the parity suite at max |Δscore| ≤ 4e-3 and identical arg-max
-///   labels vs f32. Featurisation, diffused states and softmax stay
-///   f32.
-///
-/// Training is always full precision; this knob only affects
-/// [`ServeModel::score`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Precision {
-    /// Exact f32 — the reference numerics of the whole repo.
-    F32,
-    /// Int8-weight quantized forward (W8A16).
-    Int8,
-}
-
-impl Precision {
-    /// Parses a `--precision` value. `f64` is rejected with an
-    /// explanation rather than silently aliased: this stack trains and
-    /// serves in f32, so f32 *is* the exact reference and there is no
-    /// wider path to fall back to.
-    pub fn parse(raw: &str) -> Result<Precision, String> {
-        match raw {
-            "f32" => Ok(Precision::F32),
-            "int8" => Ok(Precision::Int8),
-            "f64" => Err(
-                "precision f64 is not available: the model trains and serves in f32, \
-                 so f32 is already the exact reference (use f32, or int8 for the \
-                 quantized path)"
-                    .into(),
-            ),
-            other => Err(format!("precision must be f32 or int8, got {other}")),
-        }
-    }
-
-    /// The wire/flag name (`"f32"` / `"int8"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Precision::F32 => "f32",
-            Precision::Int8 => "int8",
-        }
     }
 }
 
@@ -292,11 +243,6 @@ fn type_name(ty: NodeType) -> &'static str {
 pub struct ServeModel {
     base: Arc<BaseModel>,
     overlay: Option<IngestOverlay>,
-    precision: Precision,
-    /// Prebuilt int8 twin — `Some` exactly when `precision` is
-    /// [`Precision::Int8`], so the quantization cost is paid once at
-    /// load, never per request (and shared across ingest generations).
-    quant: Option<Arc<QuantModel>>,
 }
 
 impl ServeModel {
@@ -330,21 +276,7 @@ impl ServeModel {
         Self {
             base: Arc::new(BaseModel { corpus, tokenized, explicit, train, mode, trained, rounds }),
             overlay: None,
-            precision: Precision::F32,
-            quant: None,
         }
-    }
-
-    /// Switches the serving forward pass to `precision`, building the
-    /// int8 twin when needed. Consumes and returns `self` so loading
-    /// reads as `ServeModel::new(..).with_precision(p)`.
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self.quant = match precision {
-            Precision::F32 => None,
-            Precision::Int8 => Some(Arc::new(self.base.trained.quantize())),
-        };
-        self
     }
 
     /// Builds a serving handle from a corpus and a serialized
@@ -367,23 +299,12 @@ impl ServeModel {
 
     /// Reads the corpus and bundle files and builds a serving handle.
     pub fn load(corpus_path: &str, bundle_path: &str) -> Result<Self, String> {
-        Self::load_with_precision(corpus_path, bundle_path, Precision::F32)
-    }
-
-    /// [`ServeModel::load`] with an explicit serving precision — the
-    /// entry point `fdctl serve --precision` uses (including across
-    /// SIGHUP reloads, which keep the flag's value).
-    pub fn load_with_precision(
-        corpus_path: &str,
-        bundle_path: &str,
-        precision: Precision,
-    ) -> Result<Self, String> {
         let corpus_json =
             std::fs::read_to_string(corpus_path).map_err(|e| format!("{corpus_path}: {e}"))?;
         let corpus = Corpus::from_json(&corpus_json)?;
         let bundle_json =
             std::fs::read_to_string(bundle_path).map_err(|e| format!("{bundle_path}: {e}"))?;
-        Ok(Self::from_bundle_json(corpus, &bundle_json)?.with_precision(precision))
+        Self::from_bundle_json(corpus, &bundle_json)
     }
 
     /// Combined node counts, `[articles, creators, subjects]`.
@@ -414,17 +335,11 @@ impl ServeModel {
         self.base.trained.validate_request_extended(self.counts(), request)
     }
 
-    /// Scores a batch of requests in one matrix pass through the
-    /// configured [`Precision`]. Results are bitwise-identical to
-    /// scoring each request alone — on the int8 path too, since its
-    /// integer accumulation is row-independent.
+    /// Scores a batch of requests in one matrix pass of the trained f32
+    /// forward. Results are bitwise-identical to scoring each request
+    /// alone, and `/v1/predict` carries them to clients bit for bit.
     pub fn score(&self, requests: &[ScoreRequest]) -> Result<Vec<Vec<f32>>, String> {
-        let ctx = self.base.ctx();
-        let view = self.view();
-        match &self.quant {
-            None => self.base.trained.score_batch_view(&ctx, &view, requests),
-            Some(quant) => self.base.trained.score_batch_view_quant(&ctx, &view, requests, quant),
-        }
+        self.base.trained.score_batch_view(&self.base.ctx(), &self.view(), requests)
     }
 
     /// Credibility distribution of a node *already in* the combined
@@ -441,11 +356,7 @@ impl ServeModel {
                 counts[slot]
             ));
         }
-        let row = self.view().row(slot, idx);
-        Ok(match &self.quant {
-            None => self.base.trained.node_probabilities(ty, row),
-            Some(quant) => self.base.trained.node_probabilities_quant(quant, ty, row),
-        })
+        Ok(self.base.trained.node_probabilities(ty, self.view().row(slot, idx)))
     }
 
     /// Attaches a batch of new nodes and runs incremental diffusion,
@@ -563,8 +474,6 @@ impl ServeModel {
         let next = ServeModel {
             base: Arc::clone(&self.base),
             overlay: Some(IngestOverlay { graph, states }),
-            precision: self.precision,
-            quant: self.quant.clone(),
         };
         // Assigned ids: this batch's nodes are the last of each slot.
         let scored = |ty: NodeType, total: usize, n: usize| -> Result<Vec<IngestedNode>, String> {
@@ -587,11 +496,6 @@ impl ServeModel {
             subjects_total: counts[2],
         };
         Ok((next, report))
-    }
-
-    /// The precision the forward pass runs at.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// The label mode the model was trained under.

@@ -522,7 +522,6 @@ struct BatchResponse {
 struct Health {
     status: String,
     mode: String,
-    precision: String,
     articles: usize,
     creators: usize,
     subjects: usize,
@@ -620,7 +619,6 @@ fn route(
             let health = Health {
                 status: "ok".into(),
                 mode: mode_name(model.mode()).into(),
-                precision: model.precision().name().into(),
                 articles,
                 creators,
                 subjects,

@@ -3,12 +3,12 @@
 //! hostile input must map to 4xx (never a crash), and graceful
 //! shutdown must complete in-flight requests.
 
-use fd_core::{FakeDetector, FakeDetectorConfig, TrainedFakeDetector};
+use fd_core::{FakeDetector, FakeDetectorConfig, ScoreRequest};
 use fd_data::{
-    generate, Corpus, CvSplits, ExperimentContext, ExplicitFeatures, GeneratorConfig, LabelMode,
+    generate, CvSplits, ExperimentContext, ExplicitFeatures, GeneratorConfig, LabelMode,
     TokenizedCorpus, TrainSets,
 };
-use fd_serve::{HttpClient, Precision, ServeConfig, ServeModel, Server};
+use fd_serve::{HttpClient, ServeConfig, ServeModel, Server};
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -18,60 +18,46 @@ const SEQ_LEN: usize = 8;
 const MAX_VOCAB: usize = 2000;
 
 /// One tiny training run shared by every test (training dominates the
-/// suite's runtime; serving itself is cheap). The trained weights are
-/// kept as JSON so both precision variants can be built from the same
-/// run.
-fn parts() -> &'static (Corpus, String, TrainSets) {
-    static PARTS: OnceLock<(Corpus, String, TrainSets)> = OnceLock::new();
-    PARTS.get_or_init(|| {
-        let seed = 7;
-        let corpus = generate(&GeneratorConfig::politifact().scaled(0.01), seed);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let train = TrainSets {
-            articles: CvSplits::new(corpus.articles.len(), 10, &mut rng).fold(0).0,
-            creators: CvSplits::new(corpus.creators.len(), 10, &mut rng).fold(0).0,
-            subjects: CvSplits::new(corpus.subjects.len(), 10, &mut rng).fold(0).0,
-        };
-        let tokenized = TokenizedCorpus::build(&corpus, SEQ_LEN, MAX_VOCAB);
-        let explicit = ExplicitFeatures::extract(&corpus, &tokenized, &train, EXPLICIT_DIM);
-        let ctx = ExperimentContext {
-            corpus: &corpus,
-            tokenized: &tokenized,
-            explicit: &explicit,
-            train: &train,
-            mode: LabelMode::Binary,
-            seed,
-        };
-        let config = FakeDetectorConfig {
-            epochs: 1,
-            validation_fraction: 0.0,
-            ..FakeDetectorConfig::default()
-        };
-        let trained = FakeDetector::new(config).fit(&ctx);
-        (corpus, trained.to_json(), train)
-    })
-}
-
-fn build_model(precision: Precision) -> Arc<ServeModel> {
-    let (corpus, trained_json, train) = parts();
-    let trained = TrainedFakeDetector::from_json(trained_json).expect("weights round-trip");
-    Arc::new(
-        ServeModel::new(
-            corpus.clone(),
-            trained,
-            train.clone(),
-            LabelMode::Binary,
-            EXPLICIT_DIM,
-            SEQ_LEN,
-            MAX_VOCAB,
-        )
-        .with_precision(precision),
-    )
-}
-
+/// suite's runtime; serving itself is cheap).
 fn model() -> Arc<ServeModel> {
     static MODEL: OnceLock<Arc<ServeModel>> = OnceLock::new();
-    MODEL.get_or_init(|| build_model(Precision::F32)).clone()
+    MODEL
+        .get_or_init(|| {
+            let seed = 7;
+            let corpus = generate(&GeneratorConfig::politifact().scaled(0.01), seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let train = TrainSets {
+                articles: CvSplits::new(corpus.articles.len(), 10, &mut rng).fold(0).0,
+                creators: CvSplits::new(corpus.creators.len(), 10, &mut rng).fold(0).0,
+                subjects: CvSplits::new(corpus.subjects.len(), 10, &mut rng).fold(0).0,
+            };
+            let tokenized = TokenizedCorpus::build(&corpus, SEQ_LEN, MAX_VOCAB);
+            let explicit = ExplicitFeatures::extract(&corpus, &tokenized, &train, EXPLICIT_DIM);
+            let ctx = ExperimentContext {
+                corpus: &corpus,
+                tokenized: &tokenized,
+                explicit: &explicit,
+                train: &train,
+                mode: LabelMode::Binary,
+                seed,
+            };
+            let config = FakeDetectorConfig {
+                epochs: 1,
+                validation_fraction: 0.0,
+                ..FakeDetectorConfig::default()
+            };
+            let trained = FakeDetector::new(config).fit(&ctx);
+            Arc::new(ServeModel::new(
+                corpus,
+                trained,
+                train,
+                LabelMode::Binary,
+                EXPLICIT_DIM,
+                SEQ_LEN,
+                MAX_VOCAB,
+            ))
+        })
+        .clone()
 }
 
 fn start(config: &ServeConfig) -> (Server, String) {
@@ -90,12 +76,20 @@ fn client(addr: &str) -> HttpClient {
     client
 }
 
-fn body_for(i: usize) -> String {
+fn request_for(i: usize) -> ScoreRequest {
     let (_, creators, subjects) = model().corpus_sizes();
+    let text = format!("claim {i} about the budget deficit and medicare");
+    ScoreRequest::article(text, Some(i % creators), vec![i % subjects])
+}
+
+/// The `/v1/predict` body of [`request_for`]`(i)`.
+fn body_for(i: usize) -> String {
+    let req = request_for(i);
     format!(
-        "{{\"text\":\"claim {i} about the budget deficit and medicare\",\"creator\":{},\"subjects\":[{}]}}",
-        i % creators,
-        i % subjects
+        "{{\"text\":\"{}\",\"creator\":{},\"subjects\":[{}]}}",
+        req.text,
+        req.creator.expect("article requests name a creator"),
+        req.subjects[0]
     )
 }
 
@@ -377,51 +371,17 @@ fn parse_probabilities(response: &str) -> Vec<f32> {
 }
 
 #[test]
-fn endpoint_round_trip_agrees_at_each_precision() {
-    // One server per precision, built from the same training run; the
-    // wire answers must agree within the quantization parity gate
-    // (identical arg-max labels, max |Δscore| ≤ 4e-3), and /healthz
-    // must report which path is live.
-    let f32_server = Server::start(model(), &ephemeral()).expect("start f32");
-    let int8_server =
-        Server::start(build_model(Precision::Int8), &ephemeral()).expect("start int8");
-    let f32_addr = f32_server.local_addr().to_string();
-    let int8_addr = int8_server.local_addr().to_string();
-
-    for (addr, name) in [(&f32_addr, "f32"), (&int8_addr, "int8")] {
-        let (status, health) = client(addr).get("/healthz").expect("get");
-        assert_eq!(status, 200, "{health}");
-        assert!(
-            health.contains(&format!("\"precision\":\"{name}\"")),
-            "healthz must report the serving precision: {health}"
-        );
-    }
-
-    // The f32 endpoint is the exact reference: bitwise-equal to direct
-    // in-process scoring (same JSON formatting path), so checking the
-    // int8 endpoint against it checks the whole wire round-trip.
+fn predict_wire_probabilities_are_bitwise_in_process_scores() {
+    // The JSON float formatting must round-trip: each probability parsed
+    // back from `/v1/predict` has exactly the bits `ServeModel::score`
+    // returns in-process for the same request.
+    let (server, addr) = start(&ephemeral());
+    let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
     for i in 0..8 {
-        let body = body_for(i);
-        let (status, exact) = client(&f32_addr).post("/v1/predict", &body).expect("post");
-        assert_eq!(status, 200, "{exact}");
-        let (status, quant) = client(&int8_addr).post("/v1/predict", &body).expect("post");
-        assert_eq!(status, 200, "{quant}");
-
-        let pe = parse_probabilities(&exact);
-        let pq = parse_probabilities(&quant);
-        assert_eq!(pe.len(), pq.len(), "request {i}");
-        let argmax = |p: &[f32]| {
-            p.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(j, _)| j).unwrap()
-        };
-        assert_eq!(argmax(&pe), argmax(&pq), "request {i}: label flipped under int8");
-        for (a, b) in pe.iter().zip(&pq) {
-            assert!(
-                (a - b).abs() <= 4e-3,
-                "request {i}: |Δscore| {} exceeds the parity gate",
-                (a - b).abs()
-            );
-        }
+        let (status, response) = client(&addr).post("/v1/predict", &body_for(i)).expect("post");
+        assert_eq!(status, 200, "{response}");
+        let direct = model().score(&[request_for(i)]).expect("score").remove(0);
+        assert_eq!(bits(&parse_probabilities(&response)), bits(&direct), "request {i}: {response}");
     }
-    f32_server.shutdown();
-    int8_server.shutdown();
+    server.shutdown();
 }

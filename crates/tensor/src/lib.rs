@@ -35,7 +35,6 @@ mod init;
 mod matrix;
 mod ops;
 pub mod parallel;
-mod quant;
 mod reduce;
 mod stable;
 
@@ -44,7 +43,6 @@ pub use gather::{gather_rows, mean_rows, scatter_add_mean_rows, scatter_add_rows
 pub use init::{he_normal, uniform_in, xavier_uniform};
 pub use matrix::{Matrix, ShapeError};
 pub use ops::{current_simd_level, simd_level, with_simd_level, SimdLevel};
-pub use quant::QuantMatrix;
 pub use reduce::{argmax_slice, ArgMax};
 pub use stable::{log_sum_exp, softmax_in_place, softmax_rows, stable_sigmoid};
 

@@ -13,7 +13,7 @@
 # * BENCH_serve.json — the fd-serve HTTP load benchmark: 32 concurrent
 #   keep-alive clients against the in-process server, with every
 #   response verified bitwise against a sequential reference pass,
-#   plus the direct f32-vs-int8 scoring comparison and its parity gate.
+#   plus the direct (no-HTTP) batch scorer's time across FD_THREADS.
 #   Its batch-size histogram and mean queue wait cover the measured
 #   concurrent pass alone (batch sizes must sum to its request count).
 # * BENCH_load.json — the open-loop overload harness against the full

@@ -3,6 +3,7 @@
 //! ```sh
 //! fdctl generate --scale 0.05 --seed 42 --out corpus.json   # whole scales > 1 tile Table-1 shards
 //! fdctl train    --corpus corpus.json --out model.json [--mode binary|multi] [--theta 0.5] [--epochs 60]
+//!                [--seed 42] [--explicit-dim 60] [--seq-len 12] [--max-vocab 6000] [--obs-out obs.json]
 //!                [--checkpoint-dir ckpts/] [--checkpoint-every 5] [--checkpoint-keep 3] [--resume]
 //!                [--batch-size 256 [--fanout 8] [--rounds 2]]  # neighbour-sampled minibatch mode
 //! fdctl train    --scale 8 --out model.json [...]             # synthetic corpus, no corpus file
@@ -10,18 +11,24 @@
 //! fdctl evaluate --corpus corpus.json --model model.json
 //! fdctl score    --corpus corpus.json --model model.json --text "..." [--creator 3] [--subjects 0,2]
 //! fdctl serve    --corpus corpus.json --model model.json [--addr 127.0.0.1:7878] [--max-batch 32] [--max-delay-ms 2]
-//!                [--precision f32|int8] [--max-ingest-nodes 256] [--shard i/n]
+//!                [--queue-bound 1024] [--request-timeout-ms 10000] [--max-body-bytes 1048576]
+//!                [--max-ingest-nodes 256] [--shard i/n]
 //! fdctl route    --shards "127.0.0.1:7878,127.0.0.1:7879;127.0.0.1:7880,127.0.0.1:7881"
 //!                [--addr 127.0.0.1:7800] [--spool-dir jobs/] [--deadline-ms 5000] [--inflight-bound 256]
 //!                [--attempt-timeout-ms 2000] [--hedge-delay-ms 300] [--max-attempts 3] [--backoff-ms 25]
 //!                [--breaker-threshold 3] [--breaker-open-ms 1000] [--retry-ratio 0.1]
-//!                [--probe-interval-ms 200] [--job-chunk 64]
+//!                [--probe-interval-ms 200] [--job-chunk 64] [--job-chunk-deadline-ms 60000]
+//!                [--max-body-bytes 8388608]
 //! fdctl ingest   --addr 127.0.0.1:7878 --payload batch.json        # POST a prepared IngestBatch
 //! fdctl ingest   --addr 127.0.0.1:7878 --text "..." --creator 3 [--subjects 0,2]  # one article inline
 //! fdctl ckpt     inspect ckpts/ckpt-00000005.fdck
 //! fdctl trace    summarize trace.json
 //! fdctl analyze  --corpus corpus.json
+//! fdctl obs      [--out OBS_train.json] [--scale 0.02] [--seed 42] [--epochs 8] [--check [--bench BENCH_train.json]]
 //! ```
+//!
+//! A command refuses any option not listed for it above, naming it,
+//! before it loads anything.
 //!
 //! `serve` reloads the bundle from disk on `SIGHUP` without dropping
 //! in-flight requests; `train --checkpoint-dir … --resume` continues a
@@ -39,9 +46,7 @@
 //! env vars are documented in OPERATIONS.md.
 
 use fakedetector::prelude::*;
-use fakedetector::serve::{
-    parse_mode, BundleSplit, Precision, ServeConfig, ServeModel, Server, TrainBundle,
-};
+use fakedetector::serve::{parse_mode, BundleSplit, ServeConfig, ServeModel, Server, TrainBundle};
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -60,19 +65,9 @@ fn main() -> ExitCode {
     } else if command == "trace" {
         cmd_trace(&args[1..])
     } else {
-        let opts = parse_options(&args[1..]);
-        match command.as_str() {
-            "generate" => cmd_generate(&opts),
-            "train" => cmd_train(&opts),
-            "predict" => cmd_predict(&opts),
-            "evaluate" => cmd_evaluate(&opts),
-            "score" => cmd_score(&opts),
-            "serve" => cmd_serve(&opts),
-            "route" => cmd_route(&opts),
-            "ingest" => cmd_ingest(&opts),
-            "analyze" => cmd_analyze(&opts),
-            "obs" => cmd_obs(&opts),
-            other => Err(format!("unknown command {other}")),
+        match COMMANDS.iter().find(|(name, ..)| name == command) {
+            Some((_, run, keys)) => parse_options(&args[1..], keys).and_then(|opts| run(&opts)),
+            None => Err(format!("unknown command {command}")),
         }
     };
     match result {
@@ -84,11 +79,46 @@ fn main() -> ExitCode {
     }
 }
 
-fn parse_options(args: &[String]) -> HashMap<String, String> {
+type Handler = fn(&HashMap<String, String>) -> Result<(), String>;
+
+/// Each `--key value` command, its handler, and the keys it reads (the
+/// usage block above lists them).
+const COMMANDS: &[(&str, Handler, &[&str])] = &[
+    ("generate", cmd_generate, &["scale", "seed", "out"]),
+    ("train", cmd_train, &[
+        "corpus", "scale", "out", "mode", "theta", "seed", "epochs", "explicit-dim", "seq-len",
+        "max-vocab", "obs-out", "checkpoint-dir", "checkpoint-every", "checkpoint-keep", "resume",
+        "batch-size", "fanout", "rounds",
+    ]),
+    ("predict", cmd_predict, &["corpus", "model", "out"]),
+    ("evaluate", cmd_evaluate, &["corpus", "model"]),
+    ("score", cmd_score, &["corpus", "model", "text", "creator", "subjects"]),
+    ("serve", cmd_serve, &[
+        "corpus", "model", "addr", "max-batch", "max-delay-ms", "queue-bound",
+        "request-timeout-ms", "max-body-bytes", "max-ingest-nodes", "shard",
+    ]),
+    ("route", cmd_route, &[
+        "shards", "addr", "spool-dir", "deadline-ms", "inflight-bound", "max-body-bytes",
+        "probe-interval-ms", "job-chunk", "job-chunk-deadline-ms", "attempt-timeout-ms",
+        "hedge-delay-ms", "max-attempts", "backoff-ms", "breaker-threshold", "breaker-open-ms",
+        "retry-ratio",
+    ]),
+    ("ingest", cmd_ingest, &["addr", "payload", "text", "creator", "subjects"]),
+    ("analyze", cmd_analyze, &["corpus"]),
+    ("obs", cmd_obs, &["out", "scale", "seed", "epochs", "check", "bench"]),
+];
+
+/// Parses `--key value` / `--flag` pairs, refusing any key outside
+/// `known` so a misspelt or retired option fails instead of being
+/// silently ignored.
+fn parse_options(args: &[String], known: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut opts = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i].trim_start_matches("--").to_string();
+        if !known.contains(&key.as_str()) {
+            return Err(format!("unknown option {} (accepted: --{})", args[i], known.join(", --")));
+        }
         if i + 1 < args.len() && !args[i + 1].starts_with("--") {
             opts.insert(key, args[i + 1].clone());
             i += 2;
@@ -97,7 +127,7 @@ fn parse_options(args: &[String]) -> HashMap<String, String> {
             i += 1;
         }
     }
-    opts
+    Ok(opts)
 }
 
 fn opt_parse<T: std::str::FromStr>(
@@ -435,7 +465,6 @@ fn cmd_score(opts: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     let corpus_path = required(opts, "corpus")?;
     let model_path = required(opts, "model")?;
-    let precision = Precision::parse(opts.get("precision").map(String::as_str).unwrap_or("f32"))?;
     let shard = match opts.get("shard") {
         Some(raw) => Some(parse_shard_spec(raw)?),
         None => None,
@@ -456,10 +485,9 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     }
 
     eprintln!("loading {corpus_path} + {model_path}…");
-    let model = Arc::new(ServeModel::load_with_precision(corpus_path, model_path, precision)?);
+    let model = Arc::new(ServeModel::load(corpus_path, model_path)?);
     let (articles, creators, subjects) = model.corpus_sizes();
     eprintln!("corpus: {articles} articles / {creators} creators / {subjects} subjects");
-    eprintln!("serving precision: {}", precision.name());
     if let Some((index, total)) = shard {
         // Sharding partitions ownership by `id % total`; a corpus whose
         // smallest entity type has fewer entities than shards would
@@ -496,7 +524,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
             // Load the new bundle fully before swapping; a bad file on
             // disk must leave the old model serving untouched.
             eprintln!("SIGHUP: reloading {corpus_path} + {model_path}…");
-            match ServeModel::load_with_precision(corpus_path, model_path, precision) {
+            match ServeModel::load(corpus_path, model_path) {
                 Ok(new_model) => {
                     server.swap_model(Arc::new(new_model));
                     eprintln!("reload complete");

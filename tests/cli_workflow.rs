@@ -112,3 +112,22 @@ fn cli_reports_errors_cleanly() {
         .unwrap();
     assert!(!out.status.success());
 }
+
+#[test]
+fn cli_refuses_options_a_command_does_not_read() {
+    // A retired flag and a misspelt one (second-to-last argument) must
+    // each fail before the absent input files are read, naming the
+    // offending option.
+    let cases: [&[&str]; 2] = [
+        &["serve", "--corpus", "absent.json", "--model", "absent.json", "--precision", "int8"],
+        &["train", "--corpus", "absent.json", "--out", "absent.json", "--ephocs", "3"],
+    ];
+    for args in cases {
+        let flag = args[args.len() - 2];
+        let out = fdctl().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(stderr.contains(&format!("unknown option {flag}")), "{args:?}: {stderr}");
+        assert!(!stderr.contains("absent.json"), "{args:?} read a file first: {stderr}");
+    }
+}
