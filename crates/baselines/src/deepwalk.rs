@@ -6,7 +6,7 @@
 use crate::embeddings::{negative_table, Sgns};
 use crate::svm::{LinearSvm, SvmConfig};
 use crate::{CredibilityModel, ExperimentContext, Predictions};
-use fd_graph::{generate_biased_walks, BiasedWalkConfig, NodeRef, NodeType, WalkConfig};
+use fd_graph::{generate_walks, NodeRef, NodeType, WalkConfig};
 use fd_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,9 +30,6 @@ pub struct DeepWalkConfig {
     pub lr: f32,
     /// Downstream SVM settings.
     pub svm: SvmConfig,
-    /// node2vec walk biases; `BiasedWalkConfig::uniform()` is classic
-    /// DeepWalk, anything else reports as "node2vec" in result tables.
-    pub bias: BiasedWalkConfig,
 }
 
 impl Default for DeepWalkConfig {
@@ -46,7 +43,6 @@ impl Default for DeepWalkConfig {
             epochs: 2,
             lr: 0.05,
             svm: SvmConfig::default(),
-            bias: BiasedWalkConfig::uniform(),
         }
     }
 }
@@ -59,19 +55,6 @@ pub struct DeepWalk {
 }
 
 impl DeepWalk {
-    /// A node2vec variant: DeepWalk with second-order biased walks
-    /// (Grover & Leskovec 2016) — an extension beyond the paper's
-    /// baseline set, used by the ablation harness.
-    pub fn node2vec(p: f64, q: f64) -> Self {
-        Self { config: DeepWalkConfig { bias: BiasedWalkConfig { p, q }, ..Default::default() } }
-    }
-
-    fn is_uniform(&self) -> bool {
-        self.config.bias.p == 1.0 && self.config.bias.q == 1.0
-    }
-}
-
-impl DeepWalk {
     /// Learns embeddings for every node (exposed for tests/ablations).
     pub fn embed(&self, ctx: &ExperimentContext<'_>) -> Vec<Matrix> {
         let graph = &ctx.corpus.graph;
@@ -80,7 +63,7 @@ impl DeepWalk {
             walks_per_node: self.config.walks_per_node,
             walk_length: self.config.walk_length,
         };
-        let walks = generate_biased_walks(graph, &walk_config, &self.config.bias, &mut rng);
+        let walks = generate_walks(graph, &walk_config, &mut rng);
 
         // Node frequencies in the corpus drive negative sampling.
         let mut freq = vec![0.0f64; graph.n_nodes()];
@@ -155,11 +138,7 @@ pub(crate) fn classify_embeddings(
 
 impl CredibilityModel for DeepWalk {
     fn name(&self) -> &'static str {
-        if self.is_uniform() {
-            "deepwalk"
-        } else {
-            "node2vec"
-        }
+        "deepwalk"
     }
 
     fn fit_predict(&self, ctx: &ExperimentContext<'_>) -> Predictions {
@@ -231,27 +210,5 @@ mod tests {
             own > other + 0.05,
             "own-creator similarity {own:.3} not above random {other:.3}"
         );
-    }
-
-    #[test]
-    fn node2vec_variant_reports_its_name_and_runs() {
-        let (corpus, tokenized, explicit, train) = fixture();
-        let ctx = ExperimentContext {
-            corpus: &corpus,
-            tokenized: &tokenized,
-            explicit: &explicit,
-            train: &train,
-            mode: LabelMode::Binary,
-            seed: 4,
-        };
-        let n2v = DeepWalk::node2vec(4.0, 0.5);
-        assert_eq!(n2v.name(), "node2vec");
-        assert_eq!(DeepWalk::default().name(), "deepwalk");
-        let preds = n2v.fit_predict(&ctx);
-        assert_eq!(preds.articles.len(), corpus.articles.len());
-        // Biased walks must actually change the learned embedding.
-        let uniform_emb = DeepWalk::default().embed(&ctx);
-        let biased_emb = n2v.embed(&ctx);
-        assert_ne!(uniform_emb[0], biased_emb[0]);
     }
 }

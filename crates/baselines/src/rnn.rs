@@ -7,7 +7,7 @@
 use crate::{CredibilityModel, ExperimentContext, Predictions};
 use fd_autograd::Tape;
 use fd_graph::NodeType;
-use fd_nn::{clip_global_norm, Adam, Binding, GruEncoder, Linear, Optimizer, Params};
+use fd_nn::{clip_global_norm, Adam, Binding, GruEncoder, Linear, Params};
 use fd_text::PAD_ID;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

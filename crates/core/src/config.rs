@@ -22,9 +22,11 @@ pub enum TrainMode {
         /// Neighbours kept per node and relation when expanding the
         /// subgraph (degree-capped reservoir sample).
         fanout: usize,
-        /// Subgraph hop depth *and* GDU unroll depth for sampled steps
-        /// (overrides `diffusion_rounds` in sampled mode so the sampled
-        /// receptive field always covers the unrolled diffusion).
+        /// Subgraph hop depth *and* GDU unroll depth for sampled steps,
+        /// so the sampled receptive field always covers the unrolled
+        /// diffusion. It overrides `diffusion_rounds`: the trained
+        /// model's config records `diffusion_rounds = rounds`, so every
+        /// inference path diffuses as deep as training did.
         rounds: usize,
     },
 }
@@ -91,7 +93,9 @@ pub struct FakeDetectorConfig {
     /// GDU state width (`h_i`).
     pub gdu_hidden: usize,
     /// Diffusion rounds the GDU layer is unrolled for (≥ 1; the paper's
-    /// mutual data-flow resolved iteratively with shared weights).
+    /// mutual data-flow resolved iteratively with shared weights). A
+    /// sampled fit trains at, and records, its `TrainMode::Sampled`
+    /// `rounds` instead.
     pub diffusion_rounds: usize,
     /// Maximum training epochs (full-graph steps); early stopping may
     /// end training sooner.

@@ -7,11 +7,13 @@ use crate::trained::TrainedFakeDetector;
 use crate::{FakeDetectorConfig, GduCell, Hflu, HfluInput, TrainMode};
 use fd_autograd::{Tape, Var};
 use fd_data::{CredibilityModel, ExperimentContext, Predictions};
-use fd_graph::{NeighborSampler, NodeType};
-use fd_nn::{clip_global_norm, Adam, AdamState, Binding, Linear, Optimizer, ParamId, Params};
+use fd_graph::{HetGraph, NeighborSampler, NodeType};
+use fd_nn::{clip_global_norm, Adam, AdamState, Binding, Linear, ParamId, Params};
 use fd_tensor::Matrix;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Seed-mixing constant for the internal validation split.
@@ -27,10 +29,6 @@ const BATCH_SHUFFLE_MIX: u64 = 0xba7c_0bdf_0000_0002;
 /// salt with `epoch * GOLDEN + batch + 1`, which never reaches this).
 const VAL_SAMPLE_SALT: u64 = u64::MAX;
 
-/// One sampled-mode validation chunk: a fixed subgraph plus the chunk's
-/// held-out items as `(type, local row, target class)`.
-type ValChunk = (Subgraph, Vec<(NodeType, usize, usize)>);
-
 /// How many times the divergence guard may halve the learning rate
 /// before giving up and returning the last good weights.
 const MAX_LR_HALVINGS: u32 = 6;
@@ -39,44 +37,39 @@ const MAX_LR_HALVINGS: u32 = 6;
 /// rollback target; refresh it every this many epochs.
 const GUARD_EVERY: usize = 10;
 
-/// Scores `items` against `states` (rows indexed however `items` says)
-/// and adds per-type correct/total counts — the shared kernel of
-/// full-graph and chunked sampled validation. One batched row gather
-/// plus one head matmul per entity type; bit-identical to scoring each
-/// item alone because both the gather and the head are row-independent.
-fn accumulate_validation(
+/// Validation accuracy over `chunks`, each a set of diffusion states and
+/// held-out items as `(slot, state row, target class)` into them. It is
+/// macro-averaged over the entity types present, so the article-heavy
+/// validation pool does not drown out creators/subjects. One batched row
+/// gather plus one head matmul per entity type and chunk; bit-identical
+/// to scoring each item alone because both the gather and the head are
+/// row-independent.
+fn validation_accuracy<'a>(
     network: &Network,
-    states: &[Matrix; 3],
-    items: &[(NodeType, usize, usize)],
-    correct: &mut [usize; 3],
-    total: &mut [usize; 3],
-) {
-    let mut rows: [Vec<Option<usize>>; 3] = Default::default();
-    let mut targets: [Vec<usize>; 3] = Default::default();
-    for &(ty, idx, target) in items {
-        let slot = ty.slot();
-        rows[slot].push(Some(idx));
-        targets[slot].push(target);
-    }
-    for slot in 0..3 {
-        if rows[slot].is_empty() {
-            continue;
+    chunks: impl IntoIterator<Item = ([Matrix; 3], &'a [(usize, usize, usize)])>,
+) -> f64 {
+    let (mut correct, mut total) = ([0usize; 3], [0usize; 3]);
+    for (states, items) in chunks {
+        let mut rows: [Vec<Option<usize>>; 3] = Default::default();
+        let mut targets: [Vec<usize>; 3] = Default::default();
+        for &(slot, row, target) in items {
+            rows[slot].push(Some(row));
+            targets[slot].push(target);
         }
-        let sel = fd_tensor::gather_rows(&states[slot], &rows[slot]);
-        let logits = network.heads[slot].forward_matrix(&network.params, &sel);
-        correct[slot] += targets[slot]
-            .iter()
-            .enumerate()
-            .filter(|&(k, &target)| logits.row_argmax(k).index == target)
-            .count();
-        total[slot] += rows[slot].len();
+        for slot in 0..3 {
+            if rows[slot].is_empty() {
+                continue;
+            }
+            let sel = fd_tensor::gather_rows(&states[slot], &rows[slot]);
+            let logits = network.heads[slot].forward_matrix(&network.params, &sel);
+            correct[slot] += targets[slot]
+                .iter()
+                .enumerate()
+                .filter(|&(k, &target)| logits.row_argmax(k).index == target)
+                .count();
+            total[slot] += rows[slot].len();
+        }
     }
-}
-
-/// Accuracy macro-averaged over the entity types present in the counts,
-/// so the article-heavy validation pool does not drown out
-/// creators/subjects.
-fn macro_accuracy(correct: &[usize; 3], total: &[usize; 3]) -> f64 {
     let (mut acc_sum, mut types_present) = (0.0f64, 0usize);
     for slot in 0..3 {
         if total[slot] > 0 {
@@ -85,6 +78,27 @@ fn macro_accuracy(correct: &[usize; 3], total: &[usize; 3]) -> f64 {
         }
     }
     acc_sum / types_present.max(1) as f64
+}
+
+/// Samples the `hops`-hop subgraph around `items`, given as `(slot,
+/// corpus index, target class)`, and returns it with the items
+/// re-addressed as rows of the subgraph.
+fn sample_batch(
+    graph: &HetGraph,
+    sampler: &NeighborSampler,
+    items: &[(usize, usize, usize)],
+    hops: usize,
+    salt: u64,
+) -> (Subgraph, Vec<(usize, usize, usize)>) {
+    let seeds: Vec<(NodeType, usize)> =
+        items.iter().map(|&(slot, idx, _)| (NodeType::ALL[slot], idx)).collect();
+    let sub = sample_subgraph(graph, sampler, &seeds, hops, salt);
+    let rows = items
+        .iter()
+        .zip(&sub.seed_rows)
+        .map(|(&(_, _, target), &(slot, row))| (slot, row, target))
+        .collect();
+    (sub, rows)
 }
 
 /// One step's objective, `L(T_n) + L(T_u) + L(T_s) + reg_scale · L_reg`,
@@ -135,15 +149,93 @@ fn step_loss(
     (loss, ordered)
 }
 
-/// Macro-averaged validation accuracy over pre-update diffusion states.
-fn validation_accuracy(
-    network: &Network,
-    states: &[Matrix; 3],
-    val_items: &[(NodeType, usize, usize)],
-) -> f64 {
-    let (mut correct, mut total) = ([0usize; 3], [0usize; 3]);
-    accumulate_validation(network, states, val_items, &mut correct, &mut total);
-    macro_accuracy(&correct, &total)
+/// One optimiser step: the subgraph its forward runs over and the fit
+/// items whose loss it carries, as `(slot, local row, target)`; its
+/// share of the epoch's one α·L2 term is its share of the fit items.
+/// The other fields are the train mode's say in the step body.
+struct Step<'a> {
+    sub: Cow<'a, Subgraph>,
+    items: Cow<'a, [(usize, usize, usize)]>,
+    /// `Adam::apply`, or the lazy `Adam::apply_sparse` for sampled steps.
+    update: fn(&mut Adam, &mut Params, &[(ParamId, Matrix)]),
+    /// Validation items scored on the step's own pre-update states.
+    validates: Option<&'a [(usize, usize, usize)]>,
+    /// The subgraph was sampled for this step (a `train.sample` lap).
+    sampled: bool,
+}
+
+/// How a fit splits each epoch into steps.
+enum Batching {
+    /// One step per epoch over the whole graph, built once per fit; the
+    /// step also scores the validation items, rows of the whole graph.
+    Whole {
+        sub: Subgraph,
+        items: Vec<(usize, usize, usize)>,
+        val_items: Vec<(usize, usize, usize)>,
+    },
+    /// Shuffled minibatches, each over its own k-hop subgraph.
+    Sampled {
+        batch_size: usize,
+        hops: usize,
+        sampler: NeighborSampler,
+        /// Fan-out, subgraph-node and subgraph-edge histograms.
+        hists: [&'static fd_obs::Histogram; 3],
+    },
+}
+
+impl Batching {
+    /// The steps of epoch `epoch`. Sampled subgraphs are drawn lazily,
+    /// one per step, so only one is alive at a time. The batch order is
+    /// keyed on `(seed, epoch)` and each sample salt on `(epoch, batch)`,
+    /// so a checkpoint resume replays the exact remaining batches.
+    fn steps<'a>(
+        &'a self,
+        graph: &'a HetGraph,
+        fit_items: &[(usize, usize, usize)],
+        seed: u64,
+        epoch: usize,
+    ) -> Box<dyn Iterator<Item = Step<'a>> + 'a> {
+        let (batch_size, hops, sampler, [fanout_hist, nodes_hist, edges_hist]) = match self {
+            Batching::Whole { sub, items, val_items } => {
+                return Box::new(std::iter::once(Step {
+                    sub: Cow::Borrowed(sub),
+                    items: Cow::Borrowed(items),
+                    update: Adam::apply,
+                    validates: (!val_items.is_empty()).then_some(val_items.as_slice()),
+                    sampled: false,
+                }));
+            }
+            Batching::Sampled { batch_size, hops, sampler, hists } => {
+                (*batch_size, *hops, sampler, *hists)
+            }
+        };
+        let epoch_key = (epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut order = fit_items.to_vec();
+        order.shuffle(&mut StdRng::seed_from_u64(seed ^ BATCH_SHUFFLE_MIX ^ epoch_key));
+        let batches: Vec<Vec<_>> = order.chunks(batch_size).map(<[_]>::to_vec).collect();
+        Box::new(batches.into_iter().enumerate().map(move |(b, batch)| {
+            // Never reaches VAL_SAMPLE_SALT, reserved for validation.
+            let salt = epoch_key.wrapping_add(b as u64 + 1);
+            let (sub, items) = sample_batch(graph, sampler, &batch, hops, salt);
+            nodes_hist.record(sub.n_nodes() as f64);
+            edges_hist.record(sub.n_sampled_edges() as f64);
+            for list in sub
+                .subjects_of_article
+                .iter()
+                .chain(sub.articles_of_creator.iter())
+                .chain(sub.articles_of_subject.iter())
+            {
+                fanout_hist.record(list.len() as f64);
+            }
+            Step {
+                sub: Cow::Owned(sub),
+                items: Cow::Owned(items),
+                update: Adam::apply_sparse,
+                validates: None,
+                sampled: true,
+            }
+        }))
+    }
 }
 
 /// Times the phases of one training epoch for the profiler: [`lap`]
@@ -205,6 +297,26 @@ pub struct TrainReport {
     pub divergence_rollbacks: u32,
 }
 
+/// Early-stopping state: the best validation accuracy so far with the
+/// weights that scored it, and the epochs since it last improved.
+#[derive(Clone, Default)]
+struct EarlyStop {
+    best: Option<(f64, Params)>,
+    since_best: usize,
+}
+
+impl EarlyStop {
+    /// Records that `params` scored validation accuracy `acc`.
+    fn observe(&mut self, acc: f64, params: &Params) {
+        if self.best.as_ref().is_none_or(|(b, _)| acc > *b) {
+            self.best = Some((acc, params.clone()));
+            self.since_best = 0;
+        } else {
+            self.since_best += 1;
+        }
+    }
+}
+
 /// The divergence guard's rollback target: a full copy of the mutable
 /// training state, taken at checkpoint cadence. Rolling back *several*
 /// epochs matters: training is deterministic in the weights, so
@@ -215,8 +327,7 @@ struct GuardSnapshot {
     epoch: usize,
     params: Params,
     opt: AdamState,
-    best: Option<(f64, Params)>,
-    since_best: usize,
+    early: EarlyStop,
     n_hist: usize,
 }
 
@@ -225,32 +336,27 @@ impl GuardSnapshot {
         epoch: usize,
         network: &Network,
         optimizer: &Adam,
-        best: &Option<(f64, Params)>,
-        since_best: usize,
+        early: &EarlyStop,
         report: &TrainReport,
     ) -> Self {
         Self {
             epoch,
-            params: network.params_snapshot(),
+            params: network.params.clone(),
             opt: optimizer.export_state(&network.params),
-            best: best.clone(),
-            since_best,
+            early: early.clone(),
             n_hist: report.losses.len(),
         }
     }
 }
 
 /// Rolls training back to the divergence guard's snapshot with a halved
-/// learning rate — the shared recovery path of full-graph and sampled
-/// epochs. Returns `false` when the halving budget is exhausted and
-/// training should stop with the last good weights.
-#[allow(clippy::too_many_arguments)]
+/// learning rate. Returns `false` when the halving budget is exhausted
+/// and training should stop with the last good weights.
 fn rollback_divergence(
     network: &mut Network,
     optimizer: &mut Adam,
     guard: &GuardSnapshot,
-    best: &mut Option<(f64, Params)>,
-    since_best: &mut usize,
+    early: &mut EarlyStop,
     report: &mut TrainReport,
     epoch: &mut usize,
     lr_halvings: &mut u32,
@@ -261,8 +367,7 @@ fn rollback_divergence(
     optimizer
         .restore_state(&network.params, &guard.opt)
         .expect("guard snapshot always matches the live network");
-    *best = guard.best.clone();
-    *since_best = guard.since_best;
+    *early = guard.early.clone();
     report.losses.truncate(guard.n_hist);
     report.grad_norms.truncate(guard.n_hist);
     report.epoch_ms.truncate(guard.n_hist);
@@ -290,43 +395,42 @@ fn rollback_divergence(
     true
 }
 
-/// Builds the durable checkpoint for the state *entering* epoch
-/// `epoch_done` and writes it through the store's atomic-rename
-/// protocol.
+/// Writes the guard snapshot `state`, the training state entering epoch
+/// `state.epoch`, as a durable checkpoint through the store's
+/// atomic-rename protocol, so the guard and the file hold the same state.
 #[allow(clippy::too_many_arguments)]
 fn save_checkpoint(
     store: &fd_ckpt::CheckpointStore,
-    epoch_done: usize,
-    network: &Network,
-    optimizer: &Adam,
+    state: &GuardSnapshot,
     report: &TrainReport,
-    best: &Option<(f64, Params)>,
-    since_best: usize,
+    lr: f32,
     lr_halvings: u32,
     seed: u64,
     dims: NetworkDims,
     fingerprint: &str,
 ) -> Result<std::path::PathBuf, String> {
-    let state = optimizer.export_state(&network.params);
-    let (opt_m, opt_v) = checkpoint::adam_to_entries(&state);
+    let epoch_done = state.epoch;
+    let (opt_m, opt_v) = checkpoint::adam_to_entries(&state.opt);
     let ckpt = fd_ckpt::TrainCheckpoint {
         epoch: epoch_done as u64,
-        opt_step: state.step,
-        lr: f64::from(optimizer.lr()),
+        opt_step: state.opt.step,
+        lr: f64::from(lr),
         seed,
         vocab: dims.vocab as u64,
         explicit_dim: dims.explicit_dim as u64,
         n_classes: dims.n_classes as u64,
-        since_best: since_best as u64,
+        since_best: state.early.since_best as u64,
         lr_halvings: u64::from(lr_halvings),
-        best_acc: best.as_ref().map(|(acc, _)| *acc),
+        best_acc: state.early.best.as_ref().map(|(acc, _)| *acc),
         config_fingerprint: fingerprint.to_string(),
         losses: report.losses.iter().map(|&l| f64::from(l)).collect(),
         grad_norms: report.grad_norms.iter().map(|&g| f64::from(g)).collect(),
-        params: checkpoint::params_to_entries(&network.params),
+        params: checkpoint::params_to_entries(&state.params),
         opt_m,
         opt_v,
-        best_params: best
+        best_params: state
+            .early
+            .best
             .as_ref()
             .map(|(_, p)| checkpoint::params_to_entries(p))
             .unwrap_or_default(),
@@ -405,7 +509,7 @@ impl Network {
     /// zero neighbour states, so with `L` rounds information travels `L`
     /// hops — the unrolled reading of Figure 3(c)'s mutual data flow.
     ///
-    /// Full-graph epochs run it over [`Subgraph::whole`], sampled steps
+    /// A full-graph step runs it over [`Subgraph::whole`], a sampled step
     /// over a sampled k-hop subgraph, so tape size per step scales with
     /// the node set, not the corpus. A node whose whole neighbourhood
     /// the subgraph covers (fan-out at or above its degree, node
@@ -448,7 +552,6 @@ impl Network {
         }
         states
     }
-
     /// The tape-free forward: HFLU-encodes `inputs(slot)` (one row per
     /// node of `adj`) for each node type, then runs the schedule of
     /// [`Network::forward_states_subgraph`] over `adj` on plain matrices,
@@ -507,11 +610,6 @@ impl Network {
             history.push(next);
         }
         history
-    }
-
-    /// A deep copy of the current weights (early-stopping snapshots).
-    pub fn params_snapshot(&self) -> Params {
-        self.params.clone()
     }
 }
 
@@ -589,7 +687,12 @@ impl FakeDetector {
         ctx: &ExperimentContext<'_>,
         options: &FitOptions,
     ) -> Result<TrainedFakeDetector, String> {
-        let cfg = &self.config;
+        // A sampled fit trains at its sampled depth, and its model then
+        // predicts at that depth.
+        let mut cfg = self.config.clone();
+        if let TrainMode::Sampled { rounds, .. } = cfg.train_mode {
+            cfg.diffusion_rounds = rounds;
+        }
         // fit runs a handful of times per process, so registry lookups
         // here are off the hot path; the epoch loop reuses the handles.
         let fit_us = fd_obs::histogram("train.fit_us", &fd_obs::exponential_buckets(1e3, 4.0, 10));
@@ -620,11 +723,11 @@ impl FakeDetector {
             n_classes: ctx.n_classes(),
         };
         let seed = ctx.seed ^ 0xfa_ce_de_7e;
-        let mut network = Network::build(cfg, dims, Params::new(), seed);
+        let mut network = Network::build(&cfg, dims, Params::new(), seed);
         let mut optimizer = Adam::new(cfg.lr);
         let mut report = TrainReport::default();
 
-        let fingerprint = checkpoint::config_fingerprint(cfg);
+        let fingerprint = checkpoint::config_fingerprint(&self.config);
         let store = match &options.checkpoint_dir {
             Some(dir) => Some(
                 fd_ckpt::CheckpointStore::open(dir, options.checkpoint_keep.max(2)).map_err(
@@ -634,11 +737,14 @@ impl FakeDetector {
             None => None,
         };
 
-        // Hold out a slice of the training entities for early stopping;
-        // validation logits fall out of the same forward pass for free.
-        let mut items: Vec<(NodeType, usize, usize)> = ctx.train_items();
+        // Hold out a slice of the training entities for early stopping.
+        // Items are `(slot, corpus index, target class)`.
+        let mut items: Vec<(usize, usize, usize)> = ctx
+            .train_items()
+            .into_iter()
+            .map(|(ty, idx, target)| (ty.slot(), idx, target))
+            .collect();
         let mut split_rng = StdRng::seed_from_u64(seed ^ VAL_SPLIT_MIX);
-        use rand::seq::SliceRandom;
         items.shuffle(&mut split_rng);
         let n_val = if cfg.validation_fraction > 0.0 {
             ((items.len() as f64 * cfg.validation_fraction) as usize).min(items.len() - 1)
@@ -648,72 +754,49 @@ impl FakeDetector {
         let (val_items, fit_items) = items.split_at(n_val);
         assert!(!fit_items.is_empty(), "FakeDetector: empty training set");
 
-        // Sampled minibatch mode: a deterministic neighbour sampler (a
-        // pure function of seed/salt/node, so the epoch schedule is
-        // replayable across resumes and thread counts) plus the
-        // sampler-specific observability instruments.
-        let sampled_setup = match cfg.train_mode {
+        // Full-graph epochs are one step over the whole corpus graph,
+        // whose neighbour lists are built once here; validation falls out
+        // of the same forward pass. Sampled epochs use a deterministic
+        // sampler (a pure function of seed/salt/node, so epochs replay
+        // across resumes and thread counts) and validate on fixed
+        // batch-sized chunks, each with its own subgraph drawn at a fixed
+        // salt: chunking bounds validation memory as minibatching bounds
+        // training memory, and the fixed salt keeps the accuracy curve a
+        // function of the weights alone.
+        let graph = &ctx.corpus.graph;
+        let mut val_chunks: Vec<_> = Vec::new();
+        let batching = match cfg.train_mode {
+            TrainMode::Full => Batching::Whole {
+                sub: Subgraph::whole(graph),
+                items: fit_items.to_vec(),
+                val_items: val_items.to_vec(),
+            },
             TrainMode::Sampled { batch_size, fanout, rounds } => {
                 assert!(batch_size > 0, "TrainMode::Sampled: batch_size must be > 0");
                 assert!(rounds > 0, "TrainMode::Sampled: rounds must be > 0");
-                Some((batch_size, rounds, NeighborSampler::new(seed ^ SAMPLER_MIX, [fanout; 3])))
+                let sampler = NeighborSampler::new(seed ^ SAMPLER_MIX, [fanout; 3]);
+                val_chunks = val_items
+                    .chunks(batch_size)
+                    .map(|chunk| sample_batch(graph, &sampler, chunk, rounds, VAL_SAMPLE_SALT))
+                    .collect();
+                let counts = fd_obs::exponential_buckets(16.0, 4.0, 10);
+                Batching::Sampled {
+                    batch_size,
+                    hops: rounds,
+                    sampler,
+                    hists: [
+                        fd_obs::histogram(
+                            "train.sampler.fanout",
+                            &fd_obs::exponential_buckets(1.0, 2.0, 10),
+                        ),
+                        fd_obs::histogram("train.sampler.subgraph_nodes", &counts),
+                        fd_obs::histogram("train.sampler.subgraph_edges", &counts),
+                    ],
+                }
             }
-            TrainMode::Full => None,
         };
-        // Full-graph epochs diffuse over the whole corpus graph, whose
-        // neighbour lists are built once here; each fit item reads its
-        // own node's row.
-        let whole = sampled_setup.is_none().then(|| Subgraph::whole(&ctx.corpus.graph));
-        let fit_steps: Vec<(usize, usize, usize)> =
-            fit_items.iter().map(|&(ty, idx, target)| (ty.slot(), idx, target)).collect();
-        let sampler_fanout_hist = sampled_setup.as_ref().map(|_| {
-            fd_obs::histogram("train.sampler.fanout", &fd_obs::exponential_buckets(1.0, 2.0, 10))
-        });
-        let subgraph_nodes_hist = sampled_setup.as_ref().map(|_| {
-            fd_obs::histogram(
-                "train.sampler.subgraph_nodes",
-                &fd_obs::exponential_buckets(16.0, 4.0, 10),
-            )
-        });
-        let subgraph_edges_hist = sampled_setup.as_ref().map(|_| {
-            fd_obs::histogram(
-                "train.sampler.subgraph_edges",
-                &fd_obs::exponential_buckets(16.0, 4.0, 10),
-            )
-        });
-        // Validation fixtures for sampled mode, built once: the held-out
-        // items in batch-sized chunks, each with its own subgraph drawn
-        // at a fixed salt. Chunking bounds validation memory the same
-        // way minibatching bounds training memory, and the fixed salt
-        // keeps the accuracy curve a function of the weights alone.
-        let val_fixture: Option<Vec<ValChunk>> =
-            sampled_setup.as_ref().and_then(|&(batch_size, rounds, ref sampler)| {
-                (n_val > 0).then(|| {
-                    val_items
-                        .chunks(batch_size)
-                        .map(|chunk| {
-                            let seeds: Vec<(NodeType, usize)> =
-                                chunk.iter().map(|&(ty, idx, _)| (ty, idx)).collect();
-                            let sub = sample_subgraph(
-                                &ctx.corpus.graph,
-                                sampler,
-                                &seeds,
-                                rounds,
-                                VAL_SAMPLE_SALT,
-                            );
-                            let local_items: Vec<(NodeType, usize, usize)> = chunk
-                                .iter()
-                                .zip(&sub.seed_rows)
-                                .map(|(&(ty, _, target), &(_, local))| (ty, local, target))
-                                .collect();
-                            (sub, local_items)
-                        })
-                        .collect()
-                })
-            });
 
-        let mut best: Option<(f64, Params)> = None;
-        let mut since_best = 0usize;
+        let mut early = EarlyStop::default();
         let mut lr_halvings: u32 = 0;
         let mut start_epoch = 0usize;
         if options.resume {
@@ -746,12 +829,12 @@ impl FakeDetector {
                     // Wall-clock history is not durable state; replayed
                     // epochs read as 0 ms.
                     report.epoch_ms = vec![0.0; report.losses.len()];
-                    since_best = ckpt.since_best as usize;
+                    early.since_best = ckpt.since_best as usize;
                     if let Some(acc) = ckpt.best_acc {
-                        let mut best_params = network.params_snapshot();
+                        let mut best_params = network.params.clone();
                         checkpoint::restore_params(&mut best_params, &ckpt.best_params)
                             .map_err(&at)?;
-                        best = Some((acc, best_params));
+                        early.best = Some((acc, best_params));
                     }
                     start_epoch = ckpt.epoch as usize;
                     fd_obs::counter("ckpt.resumes").inc();
@@ -770,17 +853,17 @@ impl FakeDetector {
         // The divergence guard's rollback target. Captured at checkpoint
         // cadence (or every GUARD_EVERY epochs without a store), never
         // every epoch — see `GuardSnapshot`.
-        let mut guard =
-            GuardSnapshot::capture(start_epoch, &network, &optimizer, &best, since_best, &report);
-        // One arena for every epoch: after the first epoch its capacity
-        // settles at that epoch's node count, so later resets neither
-        // reallocate nor re-zero.
+        let mut guard = GuardSnapshot::capture(start_epoch, &network, &optimizer, &early, &report);
+        // One arena for every step: after the first epoch its capacity
+        // settles at the largest step's node count, so later resets
+        // neither reallocate nor re-zero.
         let tape = Tape::with_capacity(1 << 10);
+        let rounds = cfg.diffusion_rounds;
         let mut epoch = start_epoch;
         while epoch < cfg.epochs {
             // Early stopping, checked at the loop head so a run resumed
             // from its final checkpoint does not train an extra epoch.
-            if n_val > 0 && since_best >= cfg.patience {
+            if n_val > 0 && early.since_best >= cfg.patience {
                 break;
             }
             let epoch_start = std::time::Instant::now();
@@ -789,197 +872,75 @@ impl FakeDetector {
             let epoch_start_us = fd_obs::trace::now_us();
             let mut phase = PhaseTimer::start(&epoch_trace);
             let mut epoch_val_acc: Option<f64> = None;
-            let loss_value: f32;
-            let norm: f32;
-            let slot_losses: Option<[f64; 3]>;
-            if let Some((batch_size, rounds, sampler)) = sampled_setup.as_ref() {
-                let (batch_size, rounds) = (*batch_size, *rounds);
-                // Deterministic per-epoch minibatch schedule: a fresh RNG
-                // keyed on (seed, epoch) makes the shuffle a pure function
-                // of durable state, so a checkpoint resume replays the
-                // exact remaining batches.
-                let mut order: Vec<usize> = (0..fit_items.len()).collect();
-                let mut batch_rng = StdRng::seed_from_u64(
-                    seed ^ BATCH_SHUFFLE_MIX
-                        ^ (epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                order.shuffle(&mut batch_rng);
-
-                let mut epoch_loss = 0.0f32;
-                let mut epoch_norm = 0.0f32;
-                let mut diverged = false;
-                for (b, chunk) in order.chunks(batch_size).enumerate() {
-                    tape.reset();
-                    let binding = Binding::new(&tape, &network.params);
-                    phase.reset();
-                    // Per-batch sample salt; never collides with
-                    // VAL_SAMPLE_SALT, which is reserved for the
-                    // validation fixtures.
-                    let salt = (epoch as u64)
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(b as u64 + 1);
-                    let seeds: Vec<(NodeType, usize)> =
-                        chunk.iter().map(|&k| (fit_items[k].0, fit_items[k].1)).collect();
-                    let sub = sample_subgraph(&ctx.corpus.graph, sampler, &seeds, rounds, salt);
-                    if let Some(h) = subgraph_nodes_hist {
-                        h.record(sub.n_nodes() as f64);
-                    }
-                    if let Some(h) = subgraph_edges_hist {
-                        h.record(sub.n_sampled_edges() as f64);
-                    }
-                    if let Some(h) = sampler_fanout_hist {
-                        for list in sub
-                            .subjects_of_article
-                            .iter()
-                            .chain(sub.articles_of_creator.iter())
-                            .chain(sub.articles_of_subject.iter())
-                        {
-                            h.record(list.len() as f64);
-                        }
-                    }
+            // The epoch's loss and per-type loss split sum over its
+            // steps, and its norm is the largest step's. The split is
+            // recomputed from the cached logits only when someone is
+            // listening.
+            let mut loss_value = 0.0f32;
+            let mut norm = 0.0f32;
+            let mut slot_losses = fd_obs::enabled(fd_obs::Level::Info).then_some([0.0f64; 3]);
+            let mut diverged = false;
+            for step in batching.steps(graph, fit_items, seed, epoch) {
+                if step.sampled {
                     phase.lap("train.sample", sample_us);
-
-                    // Forward + loss over the compacted subgraph: rows
-                    // address its local index space, and the L2 term is
-                    // scaled by the batch fraction so one epoch applies
-                    // one full α·L2's worth of decay.
-                    let states =
-                        network.forward_states_subgraph(cfg, &binding, ctx, &sub, rounds);
-                    let steps: Vec<(usize, usize, usize)> = chunk
-                        .iter()
-                        .zip(&sub.seed_rows)
-                        .map(|(&k, &(slot, local))| (slot, local, fit_items[k].2))
-                        .collect();
-                    let frac = chunk.len() as f32 / fit_items.len() as f32;
-                    let (loss, _) =
-                        step_loss(&network, &binding, &states, &steps, cfg.reg_alpha * frac);
-                    phase.lap("train.forward", forward_us);
-
-                    tape.backward(loss);
-                    let mut grads = binding.grads();
-                    phase.lap("train.backward", backward_us);
-                    let batch_norm = clip_global_norm(&mut grads, cfg.clip);
-                    phase.lap("train.clip", clip_us);
-                    let batch_loss = tape.with_value(loss, |m| m[(0, 0)]);
-                    drop(binding);
-                    if !batch_loss.is_finite() || !batch_norm.is_finite() {
-                        diverged = true;
-                        break;
-                    }
-                    phase.reset();
-                    // Sparse Adam: parameter rows outside this subgraph
-                    // received no gradient and are skipped outright, so
-                    // step cost tracks the subgraph, not the corpus.
-                    optimizer.apply_sparse(&mut network.params, &grads);
-                    phase.lap("train.optimizer", optimizer_us);
-                    epoch_loss += batch_loss;
-                    epoch_norm = epoch_norm.max(batch_norm);
                 }
-                if diverged {
-                    if !rollback_divergence(
-                        &mut network,
-                        &mut optimizer,
-                        &guard,
-                        &mut best,
-                        &mut since_best,
-                        &mut report,
-                        &mut epoch,
-                        &mut lr_halvings,
-                    ) {
-                        break;
+                tape.reset();
+                let binding = Binding::new(&tape, &network.params);
+                // Rows address the step's own node set, and the L2 term
+                // is scaled by the step's share of the fit items, so an
+                // epoch applies one full α·L2's worth of decay.
+                let states =
+                    network.forward_states_subgraph(&cfg, &binding, ctx, &step.sub, rounds);
+                let reg_scale =
+                    cfg.reg_alpha * (step.items.len() as f32 / fit_items.len() as f32);
+                let (loss, ordered) =
+                    step_loss(&network, &binding, &states, &step.items, reg_scale);
+                if let Some(sums) = &mut slot_losses {
+                    let probs = tape.with_value(ordered, fd_tensor::softmax_rows);
+                    for (k, &(slot, _, target)) in step.items.iter().enumerate() {
+                        sums[slot] += f64::from(-probs[(k, target)].max(1e-12).ln());
                     }
-                    continue;
                 }
+                let val_states = step.validates.map(|items| (states.map(|s| tape.value(s)), items));
+                phase.lap("train.forward", forward_us);
 
-                // Validation over the fixed pre-sampled chunks. Unlike
-                // the full-graph path (which reads validation states off
-                // the pre-update training forward for free), this
-                // measures the *post*-update weights — there is no single
-                // epoch-wide forward pass to piggyback on.
-                if let Some(chunks) = &val_fixture {
+                tape.backward(loss);
+                let mut grads = binding.grads();
+                phase.lap("train.backward", backward_us);
+                let step_norm = clip_global_norm(&mut grads, cfg.clip);
+                phase.lap("train.clip", clip_us);
+                let step_loss_value = tape.with_value(loss, |m| m[(0, 0)]);
+                drop(binding);
+                // Divergence guard: a non-finite loss or gradient norm
+                // means this step (and possibly a few before it) blew up.
+                // Clipping deliberately leaves non-finite gradients
+                // untouched (see `clip_global_norm`), so applying them
+                // would poison every weight.
+                if !step_loss_value.is_finite() || !step_norm.is_finite() {
+                    diverged = true;
+                    break;
+                }
+                if let Some(states_and_items) = val_states {
                     phase.reset();
-                    let mut correct = [0usize; 3];
-                    let mut total = [0usize; 3];
-                    for (sub, local_items) in chunks {
-                        tape.reset();
-                        let binding = Binding::new(&tape, &network.params);
-                        let states =
-                            network.forward_states_subgraph(cfg, &binding, ctx, sub, rounds);
-                        let mats = [
-                            tape.value(states[0]),
-                            tape.value(states[1]),
-                            tape.value(states[2]),
-                        ];
-                        drop(binding);
-                        accumulate_validation(
-                            &network,
-                            &mats,
-                            local_items,
-                            &mut correct,
-                            &mut total,
-                        );
-                    }
-                    let acc = macro_accuracy(&correct, &total);
+                    let acc = validation_accuracy(&network, [states_and_items]);
                     epoch_val_acc = Some(acc);
-                    if best.as_ref().is_none_or(|(b, _)| acc > *b) {
-                        best = Some((acc, network.params_snapshot()));
-                        since_best = 0;
-                    } else {
-                        since_best += 1;
-                    }
+                    early.observe(acc, &network.params);
                     phase.lap("train.validate", validate_us);
                 }
-                loss_value = epoch_loss;
-                norm = epoch_norm;
-                slot_losses = None;
-            } else {
-            tape.reset();
-            let binding = Binding::new(&tape, &network.params);
-            let want_slot_losses = fd_obs::enabled(fd_obs::Level::Info);
-
-            let whole = whole.as_ref().expect("full-graph epochs build the whole subgraph");
-            let states =
-                network.forward_states_subgraph(cfg, &binding, ctx, whole, cfg.diffusion_rounds);
-            let (loss, ordered) = step_loss(&network, &binding, &states, &fit_steps, cfg.reg_alpha);
-            // Per-entity-type loss decomposition, recomputed from the
-            // cached logits only when someone is listening.
-            let epoch_slot_losses: Option<[f64; 3]> = want_slot_losses.then(|| {
-                tape.with_value(ordered, |logits| {
-                    let mut sums = [0.0f64; 3];
-                    for (k, &(slot, _, target)) in fit_steps.iter().enumerate() {
-                        let mut row = logits.row(k).to_vec();
-                        fd_tensor::softmax_in_place(&mut row);
-                        sums[slot] += f64::from(-row[target].max(1e-12).ln());
-                    }
-                    sums
-                })
-            });
-            // Validation reads the pre-update states straight off the
-            // tape; no per-item validation variables are recorded.
-            let val_states = (n_val > 0).then(|| states.map(|state| tape.value(state)));
-            phase.lap("train.forward", forward_us);
-
-            tape.backward(loss);
-            let mut grads = binding.grads();
-            phase.lap("train.backward", backward_us);
-            norm = clip_global_norm(&mut grads, cfg.clip);
-            phase.lap("train.clip", clip_us);
-            loss_value = tape.with_value(loss, |m| m[(0, 0)]);
-
-            // Divergence guard: a non-finite loss or gradient norm means
-            // this step (and possibly a few before it) blew up. Clipping
-            // deliberately leaves non-finite gradients untouched (see
-            // `clip_global_norm`), so applying them would poison every
-            // weight. Roll back to the last snapshot and retry from
-            // there with a halved learning rate.
-            if !loss_value.is_finite() || !norm.is_finite() {
-                drop(binding);
+                phase.reset();
+                (step.update)(&mut optimizer, &mut network.params, &grads);
+                phase.lap("train.optimizer", optimizer_us);
+                loss_value += step_loss_value;
+                norm = norm.max(step_norm);
+            }
+            // Roll back to the last snapshot and retry from there with a
+            // halved learning rate.
+            if diverged {
                 if !rollback_divergence(
                     &mut network,
                     &mut optimizer,
                     &guard,
-                    &mut best,
-                    &mut since_best,
+                    &mut early,
                     &mut report,
                     &mut epoch,
                     &mut lr_halvings,
@@ -989,27 +950,24 @@ impl FakeDetector {
                 continue;
             }
 
-            // Validation accuracy from the pre-update forward pass,
-            // macro-averaged over entity types so the article-heavy
-            // validation pool does not drown out creators/subjects.
-            if let Some(states) = &val_states {
+            // Sampled validation over the fixed chunks measures the
+            // *post*-update weights: there is no epoch-wide forward pass
+            // to read it off.
+            if !val_chunks.is_empty() {
                 phase.reset();
-                let acc = validation_accuracy(&network, states, val_items);
+                let acc = validation_accuracy(
+                    &network,
+                    val_chunks.iter().map(|(sub, items)| {
+                        tape.reset();
+                        let binding = Binding::new(&tape, &network.params);
+                        let states =
+                            network.forward_states_subgraph(&cfg, &binding, ctx, sub, rounds);
+                        (states.map(|s| tape.value(s)), items.as_slice())
+                    }),
+                );
                 epoch_val_acc = Some(acc);
-                if best.as_ref().is_none_or(|(b, _)| acc > *b) {
-                    best = Some((acc, network.params_snapshot()));
-                    since_best = 0;
-                } else {
-                    since_best += 1;
-                }
+                early.observe(acc, &network.params);
                 phase.lap("train.validate", validate_us);
-            }
-
-            drop(binding);
-            phase.reset();
-            optimizer.apply(&mut network.params, &grads);
-            phase.lap("train.optimizer", optimizer_us);
-            slot_losses = epoch_slot_losses;
             }
             report.losses.push(loss_value);
             report.grad_norms.push(norm);
@@ -1026,8 +984,6 @@ impl FakeDetector {
                     ("epoch", epoch.into()),
                     ("loss", loss_value.into()),
                 ];
-                // Slot decomposition exists only on the full-graph path;
-                // sampled epochs report the summed minibatch losses.
                 if let Some([la, lc, ls]) = slot_losses {
                     fields.push(("loss_articles", la.into()));
                     fields.push(("loss_creators", lc.into()));
@@ -1047,32 +1003,22 @@ impl FakeDetector {
             // at the final epoch (count exhausted or early stop) so a
             // finished run leaves its end state on disk.
             let stopping =
-                epoch == cfg.epochs || (n_val > 0 && since_best >= cfg.patience);
+                epoch == cfg.epochs || (n_val > 0 && early.since_best >= cfg.patience);
             if let Some(store) = &store {
                 if epoch.is_multiple_of(options.every()) || stopping {
                     phase.reset();
+                    guard = GuardSnapshot::capture(epoch, &network, &optimizer, &early, &report);
                     save_checkpoint(
                         store,
-                        epoch,
-                        &network,
-                        &optimizer,
+                        &guard,
                         &report,
-                        &best,
-                        since_best,
+                        optimizer.lr(),
                         lr_halvings,
                         seed,
                         dims,
                         &fingerprint,
                     )?;
                     phase.lap("train.checkpoint", checkpoint_us);
-                    guard = GuardSnapshot::capture(
-                        epoch,
-                        &network,
-                        &optimizer,
-                        &best,
-                        since_best,
-                        &report,
-                    );
                     // Deterministic crash injection for recovery tests:
                     // dies *after* the durable save, exactly where a real
                     // SIGKILL would leave a resumable run.
@@ -1081,14 +1027,7 @@ impl FakeDetector {
                     }
                 }
             } else if epoch.is_multiple_of(GUARD_EVERY) {
-                guard = GuardSnapshot::capture(
-                    epoch,
-                    &network,
-                    &optimizer,
-                    &best,
-                    since_best,
-                    &report,
-                );
+                guard = GuardSnapshot::capture(epoch, &network, &optimizer, &early, &report);
             }
             if epoch_trace.sampled {
                 epoch_trace.record(
@@ -1098,11 +1037,11 @@ impl FakeDetector {
                 );
             }
         }
-        if let Some((_, best_params)) = best {
+        if let Some((_, best_params)) = early.best {
             network.params = best_params;
         }
 
-        Ok(TrainedFakeDetector::from_parts(self.config.clone(), dims, seed, network, report))
+        Ok(TrainedFakeDetector::from_parts(cfg, dims, seed, network, report))
     }
 
     /// Trains and predicts, also returning the loss curve — used by the
@@ -1127,6 +1066,7 @@ impl CredibilityModel for FakeDetector {
         self.fit_predict_with_report(ctx).0
     }
 }
+
 
 #[cfg(test)]
 mod tests {

@@ -63,6 +63,7 @@ impl Adjacency for HetGraph {
 /// A node set compacted to dense per-type row indices, with its
 /// neighbour lists in those indices — ready for `Tape::mean_rows` /
 /// `Tape::gather_rows`, which hold the shared lists instead of copies.
+#[derive(Clone)]
 pub(crate) struct Subgraph {
     /// Global entity indices per type slot; position = compacted row.
     pub nodes: [Vec<usize>; 3],

@@ -7,7 +7,7 @@
 //!   loss up to NaN/∞ must not poison the returned weights: training
 //!   rolls back, halves the rate, and still returns finite parameters.
 
-use fd_core::{FakeDetector, FakeDetectorConfig, FitOptions};
+use fd_core::{FakeDetector, FakeDetectorConfig, FitOptions, TrainMode};
 use fd_data::{
     generate, CvSplits, ExperimentContext, ExplicitFeatures, GeneratorConfig, LabelMode,
     TokenizedCorpus, TrainSets,
@@ -166,23 +166,35 @@ fn checkpoint_rotation_keeps_newest_files() {
 fn divergence_guard_recovers_from_nonfinite_loss() {
     let f = fixture();
     let c = ctx(&f);
-    // A learning rate this absurd detonates the weights within an epoch
-    // or two: the loss goes NaN/∞ and stays there at this rate. Only
-    // the guard's rollback-and-halve can finish the run with usable
-    // weights.
-    let config = FakeDetectorConfig { lr: 1e20, epochs: 8, ..FakeDetectorConfig::default() };
-    let trained = FakeDetector::new(config).fit(&c);
-    let report = trained.report();
-    assert!(
-        report.divergence_rollbacks > 0,
-        "lr=1e20 should have tripped the divergence guard"
-    );
-    for loss in &report.losses {
-        assert!(loss.is_finite(), "recorded history must only contain surviving epochs");
+    // Full-graph epochs diverge on their one step; sampled epochs break
+    // off mid-epoch at the first non-finite minibatch.
+    let sampled = TrainMode::Sampled { batch_size: 16, fanout: 4, rounds: 2 };
+    for train_mode in [TrainMode::Full, sampled] {
+        // A learning rate this absurd detonates the weights within an
+        // epoch or two: the loss goes NaN/∞ and stays there at this
+        // rate. Only the guard's rollback-and-halve can finish the run
+        // with usable weights.
+        let config =
+            FakeDetectorConfig { lr: 1e20, epochs: 8, train_mode, ..FakeDetectorConfig::default() };
+        let trained = FakeDetector::new(config).fit(&c);
+        let report = trained.report();
+        assert!(
+            report.divergence_rollbacks > 0,
+            "{train_mode:?}: lr=1e20 should have tripped the divergence guard"
+        );
+        for loss in &report.losses {
+            assert!(
+                loss.is_finite(),
+                "{train_mode:?}: recorded history must only contain surviving epochs"
+            );
+        }
+        // The returned weights are usable: predictions don't panic and
+        // the serialised params contain no non-finite values.
+        let _ = trained.predict(&c);
+        let json = trained.params_json();
+        assert!(
+            !json.contains("NaN") && !json.contains("inf"),
+            "{train_mode:?}: weights were poisoned"
+        );
     }
-    // The returned weights are usable: predictions don't panic and the
-    // serialised params contain no non-finite values.
-    let _ = trained.predict(&c);
-    let json = trained.params_json();
-    assert!(!json.contains("NaN") && !json.contains("inf"), "weights were poisoned");
 }

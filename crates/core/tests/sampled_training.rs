@@ -6,9 +6,11 @@
 //! * **thread invariance** — `FD_THREADS` ∈ {1, 8} produce bit-identical
 //!   loss histories and identical predictions;
 //! * **bitwise resume** — a sampled run checkpointed mid-way and resumed
-//!   finishes with weights bit-identical to the uninterrupted run.
+//!   finishes with weights bit-identical to the uninterrupted run;
+//! * **trained depth** — a sampled model predicts with the diffusion
+//!   depth it was trained at.
 
-use fd_core::{FakeDetector, FakeDetectorConfig, FitOptions, TrainMode};
+use fd_core::{FakeDetector, FakeDetectorConfig, FitOptions, TrainMode, TrainedFakeDetector};
 use fd_data::{
     generate, CvSplits, ExperimentContext, ExplicitFeatures, GeneratorConfig, LabelMode,
     TokenizedCorpus, TrainSets,
@@ -190,4 +192,25 @@ fn sampled_checkpoint_is_incompatible_with_full_graph_resume() {
         Err(err) => assert!(err.contains("configuration"), "unexpected error: {err}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `rounds` is the unroll depth of sampled training, so the trained
+/// model records it as its `diffusion_rounds` and every inference path
+/// diffuses that deep — also after a JSON round trip.
+#[test]
+fn sampled_model_predicts_at_its_trained_depth() {
+    let f = fixture();
+    let c = ctx(&f);
+    let config = FakeDetectorConfig {
+        epochs: 1,
+        train_mode: sampled(16, 4, 3),
+        ..FakeDetectorConfig::default()
+    };
+    assert_eq!(config.diffusion_rounds, 2, "the default depth differs from the sampled one");
+    let trained = FakeDetector::new(config).fit(&c);
+    let reloaded = TrainedFakeDetector::from_json(&trained.to_json()).unwrap();
+    for model in [&trained, &reloaded] {
+        assert_eq!(model.config().diffusion_rounds, 3);
+        assert_eq!(model.diffused_states_rounds(&c).len(), 3);
+    }
 }

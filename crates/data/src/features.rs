@@ -13,7 +13,7 @@
 use crate::{Corpus, TrainSets};
 use fd_graph::NodeType;
 use fd_tensor::Matrix;
-use fd_text::{bow_features, encode_sequence, TfIdf, Tokenizer, Vocab, WordSet};
+use fd_text::{bow_features, encode_sequence, Tokenizer, Vocab, WordSet};
 
 /// Tokenised texts, vocabulary and padded id sequences for all entities.
 #[derive(Debug, Clone)]
@@ -74,17 +74,6 @@ impl TokenizedCorpus {
     }
 }
 
-/// How the explicit bag-of-words counts are weighted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FeatureWeighting {
-    /// Raw appearance counts, as in the paper.
-    #[default]
-    Counts,
-    /// Counts reweighted by train-fitted inverse document frequency — a
-    /// documented extension (see DESIGN.md).
-    TfIdf,
-}
-
 /// The χ²-extracted discriminative word sets and the explicit BoW
 /// features they induce.
 #[derive(Debug, Clone)]
@@ -95,8 +84,6 @@ pub struct ExplicitFeatures {
     features: [Vec<Matrix>; 3],
     /// Feature dimensionality `d` (shared across types).
     pub dim: usize,
-    /// Per-type IDF models when TF-IDF weighting is active.
-    idf: Option<[TfIdf; 3]>,
 }
 
 impl ExplicitFeatures {
@@ -110,26 +97,9 @@ impl ExplicitFeatures {
         train: &TrainSets,
         dim: usize,
     ) -> Self {
-        Self::extract_with(corpus, tokenized, train, dim, FeatureWeighting::Counts)
-    }
-
-    /// [`ExplicitFeatures::extract`] with an explicit weighting scheme.
-    pub fn extract_with(
-        corpus: &Corpus,
-        tokenized: &TokenizedCorpus,
-        train: &TrainSets,
-        dim: usize,
-        weighting: FeatureWeighting,
-    ) -> Self {
-        let train_docs = |ty: NodeType| -> Vec<Vec<String>> {
-            train
-                .for_type(ty)
-                .iter()
-                .map(|&i| tokenized.tokens(ty, i).to_vec())
-                .collect()
-        };
         let build_set = |ty: NodeType| -> WordSet {
-            let docs = train_docs(ty);
+            let docs: Vec<Vec<String>> =
+                train.for_type(ty).iter().map(|&i| tokenized.tokens(ty, i).to_vec()).collect();
             let labels: Vec<bool> = train
                 .for_type(ty)
                 .iter()
@@ -141,47 +111,14 @@ impl ExplicitFeatures {
                 .collect();
             WordSet::extract(&docs, &labels, dim)
         };
-        let word_sets = [
-            build_set(NodeType::Article),
-            build_set(NodeType::Creator),
-            build_set(NodeType::Subject),
-        ];
-        let idf = match weighting {
-            FeatureWeighting::Counts => None,
-            FeatureWeighting::TfIdf => Some([
-                TfIdf::fit(&train_docs(NodeType::Article), &word_sets[0]),
-                TfIdf::fit(&train_docs(NodeType::Creator), &word_sets[1]),
-                TfIdf::fit(&train_docs(NodeType::Subject), &word_sets[2]),
-            ]),
-        };
-        let raw = |ty: NodeType, tokens: &[String]| -> Matrix {
-            match &idf {
-                None => bow_features(tokens, &word_sets[ty.slot()]),
-                Some(models) => {
-                    models[ty.slot()].transform(tokens, &word_sets[ty.slot()])
-                }
-            }
-        };
-        let featurise = |ty: NodeType| -> Vec<Matrix> {
+        let word_sets = NodeType::ALL.map(build_set);
+        let mut explicit = Self { word_sets, features: Default::default(), dim };
+        explicit.features = NodeType::ALL.map(|ty| {
             (0..tokenized.count(ty))
-                .map(|i| {
-                    let mut f = raw(ty, tokenized.tokens(ty, i));
-                    // Pad to `dim` when the training set yielded fewer
-                    // discriminative words than requested, so downstream
-                    // weight shapes stay fixed.
-                    if f.cols() < dim {
-                        f = f.concat_cols(&Matrix::zeros(1, dim - f.cols()));
-                    }
-                    normalise_l2(f)
-                })
+                .map(|i| explicit.featurise_tokens(ty, tokenized.tokens(ty, i)))
                 .collect()
-        };
-        let features = [
-            featurise(NodeType::Article),
-            featurise(NodeType::Creator),
-            featurise(NodeType::Subject),
-        ];
-        Self { word_sets, features, dim, idf }
+        });
+        explicit
     }
 
     /// The `1 x dim` explicit feature row of entity `idx` of type `ty`.
@@ -189,16 +126,13 @@ impl ExplicitFeatures {
         &self.features[ty.slot()][idx]
     }
 
-    /// Featurises an out-of-corpus token sequence with the word set (and
-    /// weighting) of `ty`, applying the same padding and L2 normalisation
-    /// as the precomputed features — used for inductive scoring of new
-    /// texts.
+    /// Featurises a token sequence with the word set of `ty`: raw counts,
+    /// zero-padded to `dim` when the training set yielded fewer
+    /// discriminative words than requested (so downstream weight shapes
+    /// stay fixed), then L2-normalised. Every corpus entity's feature row
+    /// comes from here, and so does inductive scoring of new texts.
     pub fn featurise_tokens(&self, ty: NodeType, tokens: &[String]) -> Matrix {
-        let slot = ty.slot();
-        let mut f = match &self.idf {
-            None => bow_features(tokens, &self.word_sets[slot]),
-            Some(models) => models[slot].transform(tokens, &self.word_sets[slot]),
-        };
+        let mut f = bow_features(tokens, &self.word_sets[ty.slot()]);
         if f.cols() < self.dim {
             f = f.concat_cols(&Matrix::zeros(1, self.dim - f.cols()));
         }
@@ -299,38 +233,12 @@ mod tests {
     }
 
     #[test]
-    fn tfidf_weighting_changes_features_but_keeps_shape() {
-        let (corpus, tok, train) = setup();
-        let counts = ExplicitFeatures::extract_with(
-            &corpus, &tok, &train, 60, FeatureWeighting::Counts,
-        );
-        let tfidf = ExplicitFeatures::extract_with(
-            &corpus, &tok, &train, 60, FeatureWeighting::TfIdf,
-        );
-        assert_eq!(counts.word_sets[0].words(), tfidf.word_sets[0].words());
-        let mut differs = false;
-        for i in 0..tok.count(NodeType::Article) {
-            let a = counts.feature(NodeType::Article, i);
-            let b = tfidf.feature(NodeType::Article, i);
-            assert_eq!(a.shape(), b.shape());
-            let nb = b.frobenius_norm();
-            assert!(nb == 0.0 || (nb - 1.0).abs() < 1e-4);
-            if a != b {
-                differs = true;
-            }
-        }
-        assert!(differs, "TF-IDF must reweight at least one feature vector");
-    }
-
-    #[test]
     fn featurise_tokens_matches_precomputed() {
         let (corpus, tok, train) = setup();
-        for weighting in [FeatureWeighting::Counts, FeatureWeighting::TfIdf] {
-            let ef = ExplicitFeatures::extract_with(&corpus, &tok, &train, 60, weighting);
-            let tokens = tok.tokens(NodeType::Article, 5).to_vec();
-            let fresh = ef.featurise_tokens(NodeType::Article, &tokens);
-            assert_eq!(&fresh, ef.feature(NodeType::Article, 5));
-        }
+        let ef = ExplicitFeatures::extract(&corpus, &tok, &train, 60);
+        let tokens = tok.tokens(NodeType::Article, 5).to_vec();
+        let fresh = ef.featurise_tokens(NodeType::Article, &tokens);
+        assert_eq!(&fresh, ef.feature(NodeType::Article, 5));
     }
 
     #[test]

@@ -45,7 +45,7 @@ mod split;
 pub use analysis::{creator_tally, subject_tallies, word_frequencies, SubjectTally};
 pub use corpus::{Article, Corpus, Creator, Subject};
 pub use experiment::{CredibilityModel, ExperimentContext, Predictions};
-pub use features::{ExplicitFeatures, FeatureWeighting, TokenizedCorpus};
+pub use features::{ExplicitFeatures, TokenizedCorpus};
 pub use generator::{
     generate, generate_at_scale, generate_shards, generate_tiled, GeneratorConfig,
 };

@@ -39,4 +39,4 @@ pub use hetgraph::{HetGraph, NodeRef, NodeType};
 pub use overlay::GraphOverlay;
 pub use sample::NeighborSampler;
 pub use stats::{degree_histogram, fit_power_law, DegreeStats, PowerLawFit};
-pub use walks::{generate_biased_walks, generate_walks, BiasedWalkConfig, WalkConfig};
+pub use walks::{generate_walks, WalkConfig};

@@ -27,45 +27,7 @@ impl Default for WalkConfig {
 /// node appears in the corpus at least once. Start nodes are shuffled per
 /// pass, as in the reference DeepWalk implementation.
 pub fn generate_walks(graph: &HetGraph, config: &WalkConfig, rng: &mut impl Rng) -> Vec<Vec<usize>> {
-    generate_biased_walks(graph, config, &BiasedWalkConfig::uniform(), rng)
-}
-
-/// node2vec-style walk biases (Grover & Leskovec, KDD 2016): the return
-/// parameter `p` and in-out parameter `q` reshape second-order
-/// transitions. `p = q = 1` recovers uniform DeepWalk walks.
-#[derive(Debug, Clone, Copy)]
-pub struct BiasedWalkConfig {
-    /// Return parameter: probability weight `1/p` of revisiting the
-    /// previous node. `p > 1` discourages backtracking.
-    pub p: f64,
-    /// In-out parameter: weight `1/q` for moving away from the previous
-    /// node's neighbourhood. `q > 1` keeps walks local (BFS-like),
-    /// `q < 1` pushes them outward (DFS-like).
-    pub q: f64,
-}
-
-impl BiasedWalkConfig {
-    /// The unbiased (DeepWalk) setting.
-    pub fn uniform() -> Self {
-        Self { p: 1.0, q: 1.0 }
-    }
-}
-
-/// Generates node2vec-biased walks; see [`BiasedWalkConfig`].
-///
-/// The News-HSN is tripartite-ish (creators and subjects only touch
-/// articles), so the "distance 1" case of the node2vec kernel never
-/// occurs between the previous node and a candidate — candidates are
-/// either the previous node itself (weight `1/p`) or two hops from it
-/// (weight `1/q`).
-pub fn generate_biased_walks(
-    graph: &HetGraph,
-    config: &WalkConfig,
-    bias: &BiasedWalkConfig,
-    rng: &mut impl Rng,
-) -> Vec<Vec<usize>> {
     assert!(config.walk_length >= 1, "generate_walks: walk_length must be >= 1");
-    assert!(bias.p > 0.0 && bias.q > 0.0, "generate_biased_walks: p and q must be positive");
     let mut starts: Vec<NodeRef> = Vec::with_capacity(graph.n_nodes());
     for ty in NodeType::ALL {
         let count = match ty {
@@ -76,48 +38,20 @@ pub fn generate_biased_walks(
         starts.extend((0..count).map(|idx| NodeRef { ty, idx }));
     }
 
-    let uniform = (bias.p - 1.0).abs() < f64::EPSILON && (bias.q - 1.0).abs() < f64::EPSILON;
     let mut walks = Vec::with_capacity(starts.len() * config.walks_per_node);
-    // Reused across steps; `graph.neighbors` itself is a borrowed CSR
-    // slice, so the walk inner loop allocates nothing.
-    let mut weights: Vec<f64> = Vec::new();
     for _ in 0..config.walks_per_node {
         starts.shuffle(rng);
         for &start in &starts {
             let mut walk = Vec::with_capacity(config.walk_length);
-            let mut previous: Option<NodeRef> = None;
             let mut current = start;
             walk.push(graph.global_id(current));
             for _ in 1..config.walk_length {
-                let neighbors = graph.neighbors(current);
-                if neighbors.is_empty() {
+                // `graph.neighbors` is a borrowed CSR slice, so the walk
+                // inner loop allocates nothing.
+                let Some(&next) = graph.neighbors(current).choose(rng) else {
                     break;
-                }
-                let next = match previous {
-                    None => *neighbors.choose(rng).expect("non-empty"),
-                    Some(_) if uniform => *neighbors.choose(rng).expect("non-empty"),
-                    Some(prev) => {
-                        weights.clear();
-                        weights.extend(
-                            neighbors
-                                .iter()
-                                .map(|&n| if n == prev { 1.0 / bias.p } else { 1.0 / bias.q }),
-                        );
-                        let total: f64 = weights.iter().sum();
-                        let mut roll = rng.gen_range(0.0..total);
-                        let mut chosen = neighbors[neighbors.len() - 1];
-                        for (&n, &w) in neighbors.iter().zip(&weights) {
-                            if roll < w {
-                                chosen = n;
-                                break;
-                            }
-                            roll -= w;
-                        }
-                        chosen
-                    }
                 };
                 walk.push(graph.global_id(next));
-                previous = Some(current);
                 current = next;
             }
             walks.push(walk);
@@ -198,86 +132,6 @@ mod tests {
         let w1 = generate_walks(&g, &cfg, &mut StdRng::seed_from_u64(9));
         let w2 = generate_walks(&g, &cfg, &mut StdRng::seed_from_u64(9));
         assert_eq!(w1, w2);
-    }
-
-    #[test]
-    fn biased_walks_follow_edges_too() {
-        let g = line_graph();
-        let cfg = WalkConfig { walks_per_node: 3, walk_length: 8 };
-        let bias = BiasedWalkConfig { p: 4.0, q: 0.5 };
-        let mut rng = StdRng::seed_from_u64(5);
-        for walk in generate_biased_walks(&g, &cfg, &bias, &mut rng) {
-            for pair in walk.windows(2) {
-                let from = g.from_global_id(pair[0]);
-                let to = g.from_global_id(pair[1]);
-                assert!(g.neighbors(from).contains(&to));
-            }
-        }
-    }
-
-    #[test]
-    fn high_p_discourages_backtracking() {
-        // On a path graph the only non-backtrack move is forward; with a
-        // huge p the walk should backtrack far less often than uniform.
-        let mut g = HetGraph::new(2, 1, 1);
-        g.set_author(0, 0);
-        g.set_author(1, 0);
-        g.add_subject_link(0, 0);
-        let cfg = WalkConfig { walks_per_node: 30, walk_length: 12 };
-        let count_backtracks = |walks: &[Vec<usize>]| -> usize {
-            walks
-                .iter()
-                .flat_map(|w| w.windows(3))
-                .filter(|t| t[0] == t[2])
-                .count()
-        };
-        let uniform = generate_biased_walks(
-            &g,
-            &cfg,
-            &BiasedWalkConfig::uniform(),
-            &mut StdRng::seed_from_u64(6),
-        );
-        let biased = generate_biased_walks(
-            &g,
-            &cfg,
-            &BiasedWalkConfig { p: 50.0, q: 1.0 },
-            &mut StdRng::seed_from_u64(6),
-        );
-        // Degree-1 nodes (article1, subject0) force backtracking, so the
-        // reduction is bounded; require a clear drop rather than a halving.
-        assert!(
-            (count_backtracks(&biased) as f64) < count_backtracks(&uniform) as f64 * 0.7,
-            "p=50 backtracks {} vs uniform {}",
-            count_backtracks(&biased),
-            count_backtracks(&uniform)
-        );
-    }
-
-    #[test]
-    fn uniform_bias_matches_generate_walks() {
-        let g = line_graph();
-        let cfg = WalkConfig { walks_per_node: 2, walk_length: 5 };
-        let a = generate_walks(&g, &cfg, &mut StdRng::seed_from_u64(8));
-        let b = generate_biased_walks(
-            &g,
-            &cfg,
-            &BiasedWalkConfig::uniform(),
-            &mut StdRng::seed_from_u64(8),
-        );
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "p and q must be positive")]
-    fn nonpositive_bias_rejected() {
-        let g = line_graph();
-        let cfg = WalkConfig::default();
-        let _ = generate_biased_walks(
-            &g,
-            &cfg,
-            &BiasedWalkConfig { p: 0.0, q: 1.0 },
-            &mut StdRng::seed_from_u64(0),
-        );
     }
 
     #[test]

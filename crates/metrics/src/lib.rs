@@ -22,5 +22,5 @@ mod report;
 mod series;
 
 pub use confusion::{ConfusionMatrix, MetricKind};
-pub use report::{classification_report, render_confusion};
+pub use report::classification_report;
 pub use series::{MethodSeries, SweepResults};

@@ -1,48 +1,7 @@
 //! Human-readable classification reports: a per-class breakdown table
-//! and an aligned confusion-matrix rendering, for examples and the CLI.
+//! for examples and the CLI.
 
 use crate::ConfusionMatrix;
-
-/// Renders the matrix with row/column labels, truth in rows.
-///
-/// `labels` must have one entry per class.
-///
-/// # Panics
-/// Panics when `labels.len()` differs from the matrix arity.
-pub fn render_confusion(cm: &ConfusionMatrix, labels: &[&str]) -> String {
-    assert_eq!(
-        labels.len(),
-        cm.n_classes(),
-        "render_confusion: {} labels for {} classes",
-        labels.len(),
-        cm.n_classes()
-    );
-    let width = labels
-        .iter()
-        .map(|l| l.len())
-        .max()
-        .unwrap_or(4)
-        .max(6);
-    let mut out = String::new();
-    out.push_str(&format!("{:>width$} │", "t\\p", width = width));
-    for l in labels {
-        out.push_str(&format!(" {l:>width$}", width = width));
-    }
-    out.push('\n');
-    out.push_str(&format!("{:─>width$}─┼", "", width = width));
-    for _ in labels {
-        out.push_str(&format!("─{:─>width$}", "", width = width));
-    }
-    out.push('\n');
-    for (t, row_label) in labels.iter().enumerate() {
-        out.push_str(&format!("{row_label:>width$} │", width = width));
-        for p in 0..labels.len() {
-            out.push_str(&format!(" {:>width$}", cm.count(t, p), width = width));
-        }
-        out.push('\n');
-    }
-    out
-}
 
 /// A per-class precision/recall/F1/support table plus the overall
 /// accuracy and macro averages — the sklearn-style classification report.
@@ -93,27 +52,12 @@ mod tests {
     }
 
     #[test]
-    fn confusion_render_contains_all_cells() {
-        let s = render_confusion(&sample(), &["fake", "real"]);
-        assert!(s.contains("fake"));
-        assert!(s.contains("real"));
-        // Cells: (real,real)=2, (real,fake)=1, (fake,real)=1, (fake,fake)=1.
-        assert!(s.lines().count() >= 4);
-    }
-
-    #[test]
     fn report_contains_per_class_rows_and_summary() {
         let s = classification_report(&sample(), &["fake", "real"]);
         assert!(s.contains("precision"));
         assert!(s.contains("fake"));
         assert!(s.contains("accuracy 0.600"));
         assert!(s.contains("n = 5"));
-    }
-
-    #[test]
-    #[should_panic(expected = "labels for")]
-    fn render_rejects_wrong_label_count() {
-        let _ = render_confusion(&sample(), &["only-one"]);
     }
 
     #[test]

@@ -555,7 +555,7 @@ mod tests {
     fn encoder_trains_toward_target() {
         // Tiny sanity fit: push the encoder output toward zero and verify
         // the loss drops. End-to-end learning tests live in the trainer.
-        use crate::{Adam, Optimizer};
+        use crate::Adam;
         let mut params = Params::new();
         let mut r = rng();
         let enc = GruEncoder::new(&mut params, "enc", 10, 3, 4, 2, 0, &mut r);

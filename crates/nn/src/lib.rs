@@ -9,15 +9,15 @@
 //!   leaves for one forward/backward pass and collects their gradients;
 //! * layers — [`Linear`], [`GruCell`], [`Embedding`] and the pooled
 //!   [`GruEncoder`] used by both the RNN baseline and HFLU;
-//! * optimisers — [`Sgd`], [`Adam`], [`AdaGrad`] behind the [`Optimizer`]
-//!   trait, plus global-norm [`clip_global_norm`] and LR
-//!   [`Schedule`]s.
+//! * [`Adam`], the optimiser every trained model uses, with a dense
+//!   update and a lazy one for minibatch steps, plus global-norm
+//!   [`clip_global_norm`].
 //!
 //! # Training-step shape
 //!
 //! ```
 //! use fd_autograd::Tape;
-//! use fd_nn::{Adam, Binding, Linear, Optimizer, Params};
+//! use fd_nn::{Adam, Binding, Linear, Params};
 //! use fd_tensor::Matrix;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -43,11 +43,9 @@ mod clip;
 mod layers;
 mod optim;
 mod params;
-mod schedule;
 
 pub use binding::Binding;
 pub use clip::{clip_global_norm, global_norm};
 pub use layers::{Embedding, GruCell, GruEncoder, Linear};
-pub use optim::{AdaGrad, Adam, AdamState, Optimizer, Sgd};
+pub use optim::{Adam, AdamState};
 pub use params::{ParamId, Params};
-pub use schedule::Schedule;

@@ -1,89 +1,12 @@
-//! First-order optimisers over a [`Params`] store.
+//! Adam over a [`Params`] store — the optimiser of every trained model
+//! in the workspace.
 //!
-//! All optimisers keep their per-parameter state keyed by [`ParamId`]
-//! index, so they survive parameters that only receive gradients on some
-//! steps (e.g. embedding rows, entity-specific heads).
+//! Per-parameter state is keyed by [`ParamId`] index, so it survives
+//! parameters that only receive gradients on some steps (e.g. embedding
+//! rows, entity-specific heads).
 
 use crate::params::{ParamId, Params};
 use fd_tensor::Matrix;
-use std::collections::HashMap;
-
-/// A gradient-descent family optimiser.
-pub trait Optimizer {
-    /// Applies one update from `(id, gradient)` pairs produced by
-    /// [`crate::Binding::grads`].
-    fn apply(&mut self, params: &mut Params, grads: &[(ParamId, Matrix)]);
-
-    /// Replaces the learning rate (used by [`crate::Schedule`]).
-    fn set_lr(&mut self, lr: f32);
-
-    /// Current learning rate.
-    fn lr(&self) -> f32;
-}
-
-/// Stochastic gradient descent with optional classical momentum and
-/// decoupled weight decay.
-#[derive(Debug)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: HashMap<usize, Matrix>,
-}
-
-impl Sgd {
-    /// Plain SGD at rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        Self { lr, momentum: 0.0, weight_decay: 0.0, velocity: HashMap::new() }
-    }
-
-    /// Adds classical momentum `μ ∈ [0, 1)`.
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        self.momentum = momentum;
-        self
-    }
-
-    /// Adds decoupled weight decay `λ`.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn apply(&mut self, params: &mut Params, grads: &[(ParamId, Matrix)]) {
-        for (id, g) in grads {
-            let update = if self.momentum > 0.0 {
-                let v = self
-                    .velocity
-                    .entry(id.index())
-                    .or_insert_with(|| Matrix::zeros(g.rows(), g.cols()));
-                // v = μv + g; step along v.
-                let mut new_v = v.scale(self.momentum);
-                new_v.add_assign(g);
-                *v = new_v.clone();
-                new_v
-            } else {
-                g.clone()
-            };
-            let p = params.value_mut(*id);
-            if self.weight_decay > 0.0 {
-                let decay = p.scale(self.weight_decay);
-                p.add_assign_scaled(&decay, -self.lr);
-            }
-            p.add_assign_scaled(&update, -self.lr);
-        }
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-}
 
 /// Adam (Kingma & Ba 2015) with bias correction.
 ///
@@ -143,18 +66,40 @@ impl Adam {
         AdamState { step: self.step, m: moments(&self.m), v: moments(&self.v) }
     }
 
-    /// Lazy ("sparse") variant of [`Optimizer::apply`] for minibatch
-    /// steps where most embedding-table rows receive no gradient: rows
-    /// whose gradient is entirely zero are skipped outright — their
-    /// weights are not touched and their moment estimates are *not*
-    /// decayed, so an embedding row's Adam trajectory depends only on
-    /// the steps that actually touched it (the standard lazy-Adam
-    /// semantics). For rows with any non-zero gradient entry the update
-    /// is bit-identical to the dense [`Optimizer::apply`] given the same
-    /// moments and step count. Row skipping is data-dependent but
-    /// deterministic, and each tensor still updates sequentially on one
-    /// thread, so results stay bit-identical for any `FD_THREADS`.
+    /// Applies one update from `(id, gradient)` pairs produced by
+    /// [`crate::Binding::grads`].
+    pub fn apply(&mut self, params: &mut Params, grads: &[(ParamId, Matrix)]) {
+        self.update(params, grads, false);
+    }
+
+    /// Lazy ("sparse") variant of [`Adam::apply`] for minibatch steps
+    /// where most embedding-table rows receive no gradient: rows whose
+    /// gradient is entirely zero are skipped outright — their weights are
+    /// not touched and their moment estimates are *not* decayed, so an
+    /// embedding row's Adam trajectory depends only on the steps that
+    /// actually touched it (the standard lazy-Adam semantics). For rows
+    /// with any non-zero gradient entry the update is bit-identical to
+    /// the dense [`Adam::apply`] given the same moments and step count.
+    /// Row skipping is data-dependent but deterministic, and each tensor
+    /// still updates sequentially on one thread, so results stay
+    /// bit-identical for any `FD_THREADS`.
     pub fn apply_sparse(&mut self, params: &mut Params, grads: &[(ParamId, Matrix)]) {
+        self.update(params, grads, true);
+    }
+
+    /// Replaces the learning rate.
+    pub fn set_lr(&mut self, lr: f32) {
+        self.lr = lr;
+    }
+
+    /// Current learning rate.
+    pub fn lr(&self) -> f32 {
+        self.lr
+    }
+
+    /// One Adam step over every tensor with a gradient; `lazy` skips the
+    /// rows whose gradient is all zero.
+    fn update(&mut self, params: &mut Params, grads: &[(ParamId, Matrix)], lazy: bool) {
         self.step += 1;
         let bc1 = 1.0 - self.beta1.powi(self.step as i32);
         let bc2 = 1.0 - self.beta2.powi(self.step as i32);
@@ -188,17 +133,23 @@ impl Adam {
             })
             .collect();
         let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        // ~10 flops per scalar; average tensor size gates the fork.
         let work = scalars / tasks.len().max(1) * 10;
         fd_tensor::parallel::par_for_each(&mut tasks, work, |(p, m, v, g)| {
-            let cols = g.cols();
-            for r in 0..g.rows() {
-                let g_row = &g.as_slice()[r * cols..(r + 1) * cols];
-                if g_row.iter().all(|&x| x == 0.0) {
+            // A lazy step goes row by row; a dense one takes the tensor
+            // as a single row. Every element's update is independent of
+            // the others, so the split changes no bits.
+            let row = if lazy { g.cols() } else { g.len() }.max(1);
+            let rows = g
+                .as_slice()
+                .chunks(row)
+                .zip(m.as_mut_slice().chunks_mut(row))
+                .zip(v.as_mut_slice().chunks_mut(row))
+                .zip(p.as_mut_slice().chunks_mut(row));
+            for (((g_row, m_row), v_row), p_row) in rows {
+                if lazy && g_row.iter().all(|&x| x == 0.0) {
                     continue;
                 }
-                let m_row = &mut m.as_mut_slice()[r * cols..(r + 1) * cols];
-                let v_row = &mut v.as_mut_slice()[r * cols..(r + 1) * cols];
-                let p_row = &mut p.as_mut_slice()[r * cols..(r + 1) * cols];
                 for ((mi, vi), &gi) in m_row.iter_mut().zip(v_row.iter_mut()).zip(g_row) {
                     *mi = beta1 * *mi + (1.0 - beta1) * gi;
                     *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
@@ -256,127 +207,12 @@ pub struct AdamState {
     pub v: Vec<(String, Matrix)>,
 }
 
-impl Optimizer for Adam {
-    fn apply(&mut self, params: &mut Params, grads: &[(ParamId, Matrix)]) {
-        self.step += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.step as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.step as i32);
-        let Some(max_idx) = grads.iter().map(|(id, _)| id.index()).max() else {
-            return;
-        };
-        let width = params.len().max(max_idx + 1);
-        if self.m.len() < width {
-            self.m.resize_with(width, || None);
-            self.v.resize_with(width, || None);
-        }
-        let mut gradient_of: Vec<Option<&Matrix>> = vec![None; width];
-        for (id, g) in grads {
-            gradient_of[id.index()] = Some(g);
-            for slot in [&mut self.m[id.index()], &mut self.v[id.index()]] {
-                if slot.is_none() {
-                    *slot = Some(Matrix::zeros(g.rows(), g.cols()));
-                }
-            }
-        }
-        let scalars: usize = grads.iter().map(|(_, g)| g.len()).sum();
-        let mut tasks: Vec<(&mut Matrix, &mut Matrix, &mut Matrix, &Matrix)> = params
-            .values_mut()
-            .iter_mut()
-            .zip(&mut self.m)
-            .zip(&mut self.v)
-            .enumerate()
-            .filter_map(|(i, ((p, m), v))| {
-                let g = gradient_of[i]?;
-                Some((p, m.as_mut().expect("moment ensured above"), v.as_mut().expect("moment ensured above"), g))
-            })
-            .collect();
-        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
-        // ~10 flops per scalar; average tensor size gates the fork.
-        let work = scalars / tasks.len().max(1) * 10;
-        fd_tensor::parallel::par_for_each(&mut tasks, work, |(p, m, v, g)| {
-            for ((mi, vi), &gi) in m
-                .as_mut_slice()
-                .iter_mut()
-                .zip(v.as_mut_slice())
-                .zip(g.as_slice())
-            {
-                *mi = beta1 * *mi + (1.0 - beta1) * gi;
-                *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
-            }
-            for ((pi, &mi), &vi) in p
-                .as_mut_slice()
-                .iter_mut()
-                .zip(m.as_slice())
-                .zip(v.as_slice())
-            {
-                let m_hat = mi / bc1;
-                let v_hat = vi / bc2;
-                *pi -= lr * m_hat / (v_hat.sqrt() + eps);
-            }
-        });
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-}
-
-/// AdaGrad (Duchi et al. 2011): per-coordinate rates that decay with the
-/// accumulated squared gradient. A good fit for the sparse embedding
-/// updates of DeepWalk / LINE.
-#[derive(Debug)]
-pub struct AdaGrad {
-    lr: f32,
-    eps: f32,
-    acc: HashMap<usize, Matrix>,
-}
-
-impl AdaGrad {
-    /// AdaGrad at base rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        Self { lr, eps: 1e-8, acc: HashMap::new() }
-    }
-}
-
-impl Optimizer for AdaGrad {
-    fn apply(&mut self, params: &mut Params, grads: &[(ParamId, Matrix)]) {
-        for (id, g) in grads {
-            let acc = self
-                .acc
-                .entry(id.index())
-                .or_insert_with(|| Matrix::zeros(g.rows(), g.cols()));
-            let p = params.value_mut(*id);
-            for ((pi, ai), &gi) in p
-                .as_mut_slice()
-                .iter_mut()
-                .zip(acc.as_mut_slice())
-                .zip(g.as_slice())
-            {
-                *ai += gi * gi;
-                *pi -= self.lr * gi / (ai.sqrt() + self.eps);
-            }
-        }
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Minimises f(w) = (w - 3)² with the given optimiser; returns |w - 3|.
-    fn descend(opt: &mut dyn Optimizer, steps: usize) -> f32 {
+    /// Minimises f(w) = (w - 3)² with `opt`; returns |w - 3|.
+    fn descend(opt: &mut Adam, steps: usize) -> f32 {
         let mut params = Params::new();
         let id = params.get_or_insert("w", || Matrix::row_vector(&[0.0]));
         for _ in 0..steps {
@@ -388,41 +224,9 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        assert!(descend(&mut opt, 100) < 1e-3);
-    }
-
-    #[test]
-    fn momentum_accelerates_sgd() {
-        let plain = descend(&mut Sgd::new(0.02), 40);
-        let with_m = descend(&mut Sgd::new(0.02).with_momentum(0.9), 40);
-        assert!(with_m < plain, "momentum {with_m} should beat plain {plain}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.3);
         assert!(descend(&mut opt, 200) < 1e-2);
-    }
-
-    #[test]
-    fn adagrad_converges_on_quadratic() {
-        let mut opt = AdaGrad::new(1.0);
-        assert!(descend(&mut opt, 200) < 1e-2);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_unused_direction() {
-        let mut params = Params::new();
-        let id = params.get_or_insert("w", || Matrix::row_vector(&[1.0, 1.0]));
-        let mut opt = Sgd::new(0.1).with_weight_decay(0.5);
-        // Gradient only on the first coordinate; decay must still shrink
-        // the second.
-        for _ in 0..10 {
-            opt.apply(&mut params, &[(id, Matrix::row_vector(&[0.0, 0.0]))]);
-        }
-        assert!(params.value(id)[(0, 1)] < 0.7);
     }
 
     #[test]
@@ -657,7 +461,7 @@ mod tests {
 
     #[test]
     fn set_lr_roundtrips() {
-        let mut o: Box<dyn Optimizer> = Box::new(Adam::new(0.1));
+        let mut o = Adam::new(0.1);
         o.set_lr(0.01);
         assert_eq!(o.lr(), 0.01);
     }

@@ -29,7 +29,6 @@
 //! assert_eq!(a.sum(), 10.0);
 //! ```
 
-mod checked;
 mod gather;
 mod init;
 mod matrix;
@@ -38,7 +37,6 @@ pub mod parallel;
 mod reduce;
 mod stable;
 
-pub use checked::DimMismatch;
 pub use gather::{gather_rows, mean_rows, scatter_add_mean_rows, scatter_add_rows};
 pub use init::{he_normal, uniform_in, xavier_uniform};
 pub use matrix::{Matrix, ShapeError};

@@ -24,7 +24,6 @@
 mod bow;
 mod sequence;
 mod stopwords;
-mod tfidf;
 mod tokenizer;
 mod vocab;
 mod wordset;
@@ -32,7 +31,6 @@ mod wordset;
 pub use bow::bow_features;
 pub use sequence::encode_sequence;
 pub use stopwords::is_stop_word;
-pub use tfidf::TfIdf;
 pub use tokenizer::Tokenizer;
 pub use vocab::Vocab;
 pub use wordset::{chi_squared_scores, WordSet};

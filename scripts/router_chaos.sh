@@ -65,6 +65,8 @@ p_s1r0=$((base + 3))
 p_s1r1=$((base + 4))
 p_router=$((base + 5))
 
+# Runs in this shell (never as `$(serve …)`, whose subshell would keep
+# the pid from `pids` and the cleanup trap); read the pid from `$!`.
 serve() { # serve <port> <shard-spec-or-"-"> <log>
     if [ "$2" = "-" ]; then
         "$fdctl" serve --corpus "$work/corpus.json" --model "$work/model.json" \
@@ -74,7 +76,6 @@ serve() { # serve <port> <shard-spec-or-"-"> <log>
             --addr "127.0.0.1:$1" --shard "$2" >"$3" 2>&1 &
     fi
     pids="$pids $!"
-    echo "$!"
 }
 
 wait_healthy() { # wait_healthy <port> <what>
@@ -87,11 +88,13 @@ wait_healthy() { # wait_healthy <port> <what>
 }
 
 echo "==> start control + 2 shards x 2 replicas + router" >&2
-control_pid="$(serve "$p_control" - "$work/control.log")"
-victim_pid="$(serve "$p_s0r0" 0/2 "$work/s0r0.log")"
-serve "$p_s0r1" 0/2 "$work/s0r1.log" >/dev/null
-reload_pid="$(serve "$p_s1r0" 1/2 "$work/s1r0.log")"
-serve "$p_s1r1" 1/2 "$work/s1r1.log" >/dev/null
+serve "$p_control" - "$work/control.log"
+serve "$p_s0r0" 0/2 "$work/s0r0.log"
+victim_pid=$!
+serve "$p_s0r1" 0/2 "$work/s0r1.log"
+serve "$p_s1r0" 1/2 "$work/s1r0.log"
+reload_pid=$!
+serve "$p_s1r1" 1/2 "$work/s1r1.log"
 for port in "$p_control" "$p_s0r0" "$p_s0r1" "$p_s1r0" "$p_s1r1"; do
     wait_healthy "$port" "worker"
 done
@@ -197,7 +200,7 @@ grep -q '"results":\[\[' "$work/results.json" \
 echo "==> spooled job $job_id completed after the router restart" >&2
 
 echo "==> restart the killed replica; the half-open probe folds it back in" >&2
-serve "$p_s0r0" 0/2 "$work/s0r0b.log" >/dev/null
+serve "$p_s0r0" 0/2 "$work/s0r0b.log"
 wait_healthy "$p_s0r0" "restarted replica"
 tries=0
 while :; do
