@@ -76,12 +76,6 @@ impl Tape {
         self.push(value, Op::Tanh(a))
     }
 
-    /// Rectified linear unit `max(0, x)`.
-    pub fn relu(&self, a: Var) -> Var {
-        let value = self.nodes.borrow()[a.0 as usize].value.map(|v| v.max(0.0));
-        self.push(value, Op::Relu(a))
-    }
-
     /// Column-wise concatenation `[a | b]`.
     pub fn concat_cols(&self, a: Var, b: Var) -> Var {
         let value = {
@@ -398,11 +392,6 @@ pub(crate) fn propagate(nodes: &mut [Node], i: usize, g: &Matrix, op: &Op) {
             let da = g.zip_map(y, |gv, yv| gv * (1.0 - yv * yv));
             accumulate(nodes, *a, &da);
         }
-        Op::Relu(a) => {
-            let x = &nodes[a.0 as usize].value;
-            let da = g.zip_map(x, |gv, xv| if xv > 0.0 { gv } else { 0.0 });
-            accumulate(nodes, *a, &da);
-        }
         Op::ConcatCols(a, b) => {
             let a_cols = nodes[a.0 as usize].value.cols();
             let b_cols = nodes[b.0 as usize].value.cols();
@@ -661,11 +650,6 @@ mod tests {
     fn activations_forward_values() {
         let t = Tape::new();
         let x = t.leaf(Matrix::row_vector(&[-1.0, 0.0, 2.0]));
-        assert_close(
-            &t.value(t.relu(x)),
-            &Matrix::row_vector(&[0.0, 0.0, 2.0]),
-            1e-6,
-        );
         let s = t.value(t.sigmoid(x));
         assert!((s[(0, 1)] - 0.5).abs() < 1e-6);
         let th = t.value(t.tanh(x));

@@ -39,8 +39,6 @@ pub(crate) enum Op {
     Sigmoid(Var),
     /// Hyperbolic tangent.
     Tanh(Var),
-    /// Rectified linear unit.
-    Relu(Var),
     /// `[a | b]` along columns.
     ConcatCols(Var, Var),
     /// Mean of N same-shaped values (the diffusion aggregator).
@@ -198,14 +196,6 @@ impl Tape {
     pub fn reset(&self) {
         self.nodes.borrow_mut().clear();
     }
-
-    /// Drops every accumulated gradient, keeping forward values. Useful
-    /// when re-using a tape for gradient checking.
-    pub fn zero_grads(&self) {
-        for node in self.nodes.borrow_mut().iter_mut() {
-            node.grad = None;
-        }
-    }
 }
 
 pub(crate) fn accumulate(nodes: &mut [Node], target: Var, delta: &Matrix) {
@@ -245,16 +235,5 @@ mod tests {
         let t = Tape::new();
         let v = t.leaf(Matrix::ones(1, 2));
         t.backward(v);
-    }
-
-    #[test]
-    fn zero_grads_clears() {
-        let t = Tape::new();
-        let x = t.leaf(Matrix::row_vector(&[2.0]));
-        let loss = t.square_norm(x);
-        t.backward(loss);
-        assert!(t.grad(x).is_some());
-        t.zero_grads();
-        assert!(t.grad(x).is_none());
     }
 }

@@ -52,13 +52,19 @@
 //! generation clones its parent in O(1) and copies only the chunks
 //! holding rows it rewrites; older generations keep serving their own
 //! states untouched.
+//!
+//! **Dry runs.** Inductive scoring ([`TrainedFakeDetector::score_batch`])
+//! runs the same loop over such a clone with the requests attached, for
+//! the requests' final-round rows only: each earlier round computes just
+//! the changed rows a later computed row reads. The clone is dropped.
 
 use crate::subgraph::Subgraph;
-use crate::trained::TrainedFakeDetector;
+use crate::trained::{ScoreRequest, TrainedFakeDetector};
 use crate::HfluInput;
 use fd_data::ExperimentContext;
 use fd_graph::{Chunked, GraphOverlay, HetGraph, NodeType};
 use fd_tensor::Matrix;
+use fd_text::{encode_sequence, Tokenizer};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -87,7 +93,8 @@ pub struct StateOverlay {
 }
 
 impl StateOverlay {
-    fn new(rounds: usize) -> Self {
+    /// The generation before any ingest: `rounds` empty deltas.
+    pub fn new(rounds: usize) -> Self {
         Self { rounds: vec![RoundDelta::default(); rounds], encoded: Default::default() }
     }
 
@@ -123,25 +130,20 @@ pub struct DeltaCost {
     pub encoded: usize,
 }
 
-/// A read-only resolver for "current" state rows: base matrices,
-/// optionally overlaid with one round's [`RoundDelta`]. Row lookups
+/// A read-only resolver for "current" state rows: base matrices
+/// overlaid with one round's [`RoundDelta`]. Row lookups
 /// check the delta first (ingested nodes and recomputed base rows) and
 /// fall through to the base matrix.
 #[derive(Clone, Copy)]
 pub struct StateView<'a> {
     base: &'a [Matrix; 3],
-    delta: Option<&'a RoundDelta>,
+    delta: &'a RoundDelta,
 }
 
 impl<'a> StateView<'a> {
-    /// A view over plain base matrices (no overlay).
-    pub fn from_base(base: &'a [Matrix; 3]) -> Self {
-        Self { base, delta: None }
-    }
-
     /// A view over base matrices patched and extended by `delta`.
     pub fn with_delta(base: &'a [Matrix; 3], delta: &'a RoundDelta) -> Self {
-        Self { base, delta: Some(delta) }
+        Self { base, delta }
     }
 
     /// Node counts visible through the view, `[articles, creators,
@@ -149,7 +151,7 @@ impl<'a> StateView<'a> {
     /// base rows, so the delta's highest index bounds the count.
     pub fn counts(&self) -> [usize; 3] {
         std::array::from_fn(|slot| {
-            self.base[slot].rows().max(self.delta.map_or(0, |d| d.rows[slot].len()))
+            self.base[slot].rows().max(self.delta.rows[slot].len())
         })
     }
 
@@ -158,39 +160,11 @@ impl<'a> StateView<'a> {
     /// # Panics
     /// Panics when `idx` is beyond [`StateView::counts`] for the slot.
     pub fn row(&self, slot: usize, idx: usize) -> &'a [f32] {
-        if let Some(row) = self.delta.and_then(|d| d.rows[slot].get(idx)) {
+        if let Some(row) = self.delta.rows[slot].get(idx) {
             return row;
         }
         assert!(idx < self.base[slot].rows(), "slot {slot} has no row {idx}");
         self.base[slot].row(idx)
-    }
-
-    /// The GDU's neighbour inputs `(z, t)` for `n` rows of `slot`, read
-    /// through this view. Row `k` of `z` is the mean of the rows listed
-    /// by `neighbours(k)` — base part, then overlay extras — of the slot
-    /// that `slot` aggregates (subjects for articles, articles
-    /// otherwise), replaying `fd_tensor::mean_rows` exactly; row `k` of
-    /// `t` is the state of the creator `neighbours(k)` names (articles
-    /// only). Empty lists and absent creators leave zero rows. Inductive
-    /// scoring and the ingest delta both assemble their GDU inputs here.
-    pub(crate) fn gdu_inputs<'l>(
-        &self,
-        slot: usize,
-        n: usize,
-        hidden: usize,
-        neighbours: impl Fn(usize) -> (&'l [usize], &'l [usize], Option<usize>),
-    ) -> (Matrix, Matrix) {
-        let z_slot = if slot == 0 { 2 } else { 0 };
-        let mut z = Matrix::zeros(n, hidden);
-        let mut t_in = Matrix::zeros(n, hidden);
-        for k in 0..n {
-            let (base_part, extra_part, creator) = neighbours(k);
-            mean_into(self, z_slot, base_part, extra_part, z.row_mut(k));
-            if let Some(u) = creator {
-                t_in.row_mut(k).copy_from_slice(self.row(1, u));
-            }
-        }
-        (z, t_in)
     }
 }
 
@@ -238,6 +212,25 @@ fn articles_of<'a>(
     }
 }
 
+/// Adds the neighbours of combined node `i` of `slot` to `out`: an
+/// article's author and subjects, a creator's or subject's articles —
+/// the rows `i` reads, and the rows that read it (none for a reader).
+fn add_neighbours(
+    overlay: &GraphOverlay,
+    graph: &HetGraph,
+    slot: usize,
+    i: usize,
+    out: &mut [BTreeSet<usize>; 3],
+) {
+    if slot == 0 {
+        out[1].extend(overlay.author_of(graph, i));
+        out[2].extend(overlay.subjects_of_article(graph, i).iter().copied());
+    } else {
+        let (base_part, extra) = articles_of(overlay, graph, slot, i);
+        out[0].extend(base_part.iter().chain(extra).copied());
+    }
+}
+
 /// Checks that `overlay` is anchored to the context's graph and that
 /// the feature inputs describe `expected` nodes per slot.
 fn check_overlay_inputs(
@@ -280,13 +273,15 @@ impl TrainedFakeDetector {
     /// was ingested yet); `overlay` is the graph *after* the batch was
     /// attached; `new_explicit` / `new_sequences` carry the
     /// frozen-pipeline features of the batch's own new nodes, in append
-    /// order. `base_rounds` is the untouched history from
+    /// order (see [`featurise_new_nodes`]). `base_rounds` is the
+    /// untouched history from
     /// [`TrainedFakeDetector::diffused_states_rounds`]. Every row of the
     /// result is bit-identical to the same row of
     /// [`TrainedFakeDetector::extended_states_rounds`]; the serving
     /// layer documents the looser `≤ 1e-5` score bound so the
     /// implementation keeps the freedom to trade exactness for bounded
-    /// work later.
+    /// work later. Inductive scoring runs the same loop as a dry run
+    /// ([`TrainedFakeDetector::score_batch`]).
     pub fn delta_states(
         &self,
         ctx: &ExperimentContext<'_>,
@@ -295,6 +290,54 @@ impl TrainedFakeDetector {
         overlay: &GraphOverlay,
         new_explicit: &[Matrix; 3],
         new_sequences: &[Vec<Vec<usize>>; 3],
+    ) -> Result<(StateOverlay, DeltaCost), String> {
+        self.restricted_rounds(ctx, base_rounds, prev, overlay, (new_explicit, new_sequences), None)
+    }
+
+    /// Attaches `requests` to a clone of the served graph (creators and
+    /// subjects as one-way readers) and runs the restricted loop for
+    /// their final-round rows: the throwaway states, each request's
+    /// combined index and what the run computed.
+    pub(crate) fn dry_run(
+        &self,
+        ctx: &ExperimentContext<'_>,
+        base_rounds: &[[Matrix; 3]],
+        served: (&GraphOverlay, Option<&StateOverlay>),
+        requests: &[ScoreRequest],
+    ) -> Result<(StateOverlay, Vec<usize>, DeltaCost), String> {
+        let mut overlay = served.0.clone();
+        let mut targets: [Vec<usize>; 3] = Default::default();
+        let mut ids = Vec::with_capacity(requests.len());
+        for req in requests {
+            let id = match req.node_type {
+                NodeType::Article => overlay.add_article(req.creator, &req.subjects)?,
+                ty => overlay.add_reader(ty, &req.articles)?,
+            };
+            targets[req.node_type.slot()].push(id);
+            ids.push(id);
+        }
+        let texts = requests.iter().map(|r| (r.node_type, r.text.as_str()));
+        let (explicit, sequences) = featurise_new_nodes(ctx, texts);
+        let new = (&explicit, &sequences);
+        let (states, cost) =
+            self.restricted_rounds(ctx, base_rounds, served.1, &overlay, new, Some(&targets))?;
+        Ok((states, ids, cost))
+    }
+
+    /// The restricted loop. With `targets` unset it computes every row
+    /// the batch changes, at every round (an ingest). With `targets` it
+    /// computes the listed rows at the last round and, at each earlier
+    /// round, only the changed rows that a row computed later reads (a
+    /// dry run); the changed rows it skips are left stale, so its
+    /// result is read at the targets alone.
+    fn restricted_rounds(
+        &self,
+        ctx: &ExperimentContext<'_>,
+        base_rounds: &[[Matrix; 3]],
+        prev: Option<&StateOverlay>,
+        overlay: &GraphOverlay,
+        (new_explicit, new_sequences): (&[Matrix; 3], &[Vec<Vec<usize>>; 3]),
+        targets: Option<&[Vec<usize>; 3]>,
     ) -> Result<(StateOverlay, DeltaCost), String> {
         self.check_ctx(ctx);
         let rounds = self.config.diffusion_rounds.max(1);
@@ -326,6 +369,7 @@ impl TrainedFakeDetector {
         let first_new: [usize; 3] = std::array::from_fn(|slot| counts[slot] - new_n[slot]);
         let hidden = self.config.gdu_hidden;
         let params = &self.network.params;
+        let diffuse = self.config.use_diffusion;
         let mut cost = DeltaCost::default();
 
         // HFLU rows of the new nodes, encoded once from the frozen
@@ -342,53 +386,58 @@ impl TrainedFakeDetector {
             cost.encoded += n;
         }
 
-        // Existing creators/subjects the batch's articles cite: their
-        // neighbour lists grew.
-        let mut cited: [BTreeSet<usize>; 3] = Default::default();
-        for a in first_new[0]..counts[0] {
-            cited[1].extend(overlay.author_of(graph, a).filter(|&u| u < first_new[1]));
-            cited[2].extend(
-                overlay.subjects_of_article(graph, a).iter().copied().filter(|&s| s < first_new[2]),
-            );
+        // The rows each round changes: the existing rows with a neighbour
+        // whose previous-round row changed — a new article (its author
+        // and subjects, whose lists grew) or a changed existing row —
+        // then the batch's new nodes.
+        let mut rows: Vec<[Vec<usize>; 3]> = Vec::with_capacity(rounds);
+        let mut changed: [Vec<usize>; 3] = Default::default();
+        for r in 1..=rounds {
+            let mut existing: [BTreeSet<usize>; 3] = Default::default();
+            if r > 1 && diffuse {
+                for a in first_new[0]..counts[0] {
+                    add_neighbours(overlay, graph, 0, a, &mut existing);
+                }
+                for (slot, idxs) in changed.iter().enumerate() {
+                    for &i in idxs {
+                        add_neighbours(overlay, graph, slot, i, &mut existing);
+                    }
+                }
+            }
+            changed = std::array::from_fn(|slot| {
+                existing[slot].iter().copied().filter(|&i| i < first_new[slot]).collect()
+            });
+            rows.push(std::array::from_fn(|slot| {
+                changed[slot].iter().copied().chain(first_new[slot]..counts[slot]).collect()
+            }));
+        }
+        // A dry run keeps its targets in the last round and, below them,
+        // only the changed rows that a kept row reads.
+        if let Some(targets) = targets {
+            rows[rounds - 1] = targets.clone();
+            for r in (1..rounds).rev() {
+                let mut read: [BTreeSet<usize>; 3] = Default::default();
+                for (slot, idxs) in rows[r].iter().enumerate().filter(|_| diffuse) {
+                    for &i in idxs {
+                        add_neighbours(overlay, graph, slot, i, &mut read);
+                    }
+                }
+                for (slot, kept) in rows[r - 1].iter_mut().enumerate() {
+                    kept.retain(|i| read[slot].contains(i));
+                }
+            }
         }
 
         // Base HFLU rows are re-encoded per step (no corpus-wide cache),
         // once each however many rounds recompute them.
         let mut base_x: [BTreeMap<usize, Row>; 3] = Default::default();
-        // Existing rows the previous round recomputed.
-        let mut changed: [Vec<usize>; 3] = Default::default();
-        for r in 1..=rounds {
-            let existing: [Vec<usize>; 3] = if r == 1 || !self.config.use_diffusion {
-                Default::default()
-            } else {
-                let mut set = cited.clone();
-                for (slot, idxs) in changed.iter().enumerate() {
-                    for &i in idxs {
-                        if slot == 0 {
-                            // Readers of an existing article: its author
-                            // (t port) and subjects (z port).
-                            set[1].extend(overlay.author_of(graph, i));
-                            set[2].extend(overlay.subjects_of_article(graph, i).iter().copied());
-                        } else {
-                            // Readers of an existing creator/subject: its
-                            // existing articles (the new ones are
-                            // recomputed anyway).
-                            let (base_part, extra) = articles_of(overlay, graph, slot, i);
-                            set[0].extend(
-                                base_part.iter().chain(extra).copied().filter(|&a| a < first_new[0]),
-                            );
-                        }
-                    }
-                }
-                set.map(|ids| ids.into_iter().collect())
-            };
+        for (r, round_rows) in (1..=rounds).zip(&rows) {
             let base_rows: usize = (0..3)
-                .map(|slot| existing[slot].iter().filter(|&&i| i < base_counts[slot]).count())
+                .map(|slot| round_rows[slot].iter().filter(|&&i| i < base_counts[slot]).count())
                 .sum();
             cost.max_affected_base = cost.max_affected_base.max(base_rows);
             cost.base_rows += base_rows;
-            cost.appended_rows +=
-                existing.iter().map(Vec::len).sum::<usize>() - base_rows + new_n.iter().sum::<usize>();
+            cost.appended_rows += round_rows.iter().map(Vec::len).sum::<usize>() - base_rows;
 
             // Round r reads round r − 1 of this generation (round 0 is
             // all zeros, and a mean/gather of zero rows is exactly zero,
@@ -396,11 +445,9 @@ impl TrainedFakeDetector {
             let (done, todo) = next.rounds.split_at_mut(r - 1);
             let prev_view = done
                 .last()
-                .filter(|_| self.config.use_diffusion)
+                .filter(|_| diffuse)
                 .map(|delta| StateView::with_delta(&base_rounds[r - 2], delta));
-            for slot in 0..3 {
-                let idxs: Vec<usize> =
-                    existing[slot].iter().copied().chain(first_new[slot]..counts[slot]).collect();
+            for (slot, idxs) in round_rows.iter().enumerate() {
                 if idxs.is_empty() {
                     continue;
                 }
@@ -427,19 +474,24 @@ impl TrainedFakeDetector {
                     };
                     x.row_mut(k).copy_from_slice(encoded);
                 }
-                let (z, t_in) = match &prev_view {
-                    Some(view) => view.gdu_inputs(slot, idxs.len(), hidden, |k| {
-                        let i = idxs[k];
-                        if slot == 0 {
-                            let subjects = overlay.subjects_of_article(graph, i);
-                            (subjects, &[][..], overlay.author_of(graph, i))
-                        } else {
-                            let (base_part, extra) = articles_of(overlay, graph, slot, i);
-                            (base_part, extra, None)
+                // Articles average their subjects' states (z) and read
+                // their author's (t); creators and subjects average their
+                // articles'. Empty lists and absent authors stay zero.
+                let mut z = Matrix::zeros(idxs.len(), hidden);
+                let mut t_in = Matrix::zeros(idxs.len(), hidden);
+                for (k, &i) in idxs.iter().enumerate() {
+                    let Some(view) = &prev_view else { break };
+                    if slot == 0 {
+                        let subjects = overlay.subjects_of_article(graph, i);
+                        mean_into(view, 2, subjects, &[], z.row_mut(k));
+                        if let Some(u) = overlay.author_of(graph, i) {
+                            t_in.row_mut(k).copy_from_slice(view.row(1, u));
                         }
-                    }),
-                    None => (Matrix::zeros(idxs.len(), hidden), Matrix::zeros(idxs.len(), hidden)),
-                };
+                    } else {
+                        let (base_part, extra) = articles_of(overlay, graph, slot, i);
+                        mean_into(view, 0, base_part, extra, z.row_mut(k));
+                    }
+                }
                 let h = self.network.gdu[slot].forward_matrix(
                     params,
                     &x,
@@ -451,7 +503,6 @@ impl TrainedFakeDetector {
                     todo[0].rows[slot].set(i, h.row(k).into());
                 }
             }
-            changed = existing;
         }
         Ok((next, cost))
     }
@@ -482,6 +533,30 @@ impl TrainedFakeDetector {
                 .chain(raw_input(new_explicit, new_sequences, slot))
         }))
     }
+}
+
+/// The frozen-pipeline features of nodes outside the corpus, per slot
+/// in the order given: each `(type, text)` is tokenised and featurised
+/// with the training vocabulary and χ² word sets, exactly as corpus
+/// nodes were. These are the `new_explicit` / `new_sequences` that
+/// [`TrainedFakeDetector::delta_states`] takes.
+pub fn featurise_new_nodes<'t>(
+    ctx: &ExperimentContext<'_>,
+    nodes: impl IntoIterator<Item = (NodeType, &'t str)>,
+) -> ([Matrix; 3], [Vec<Vec<usize>>; 3]) {
+    let (tokenizer, tokenized) = (Tokenizer::default(), ctx.tokenized);
+    let mut rows: [Vec<f32>; 3] = Default::default();
+    let mut sequences: [Vec<Vec<usize>>; 3] = Default::default();
+    for (ty, text) in nodes {
+        let tokens = tokenizer.tokenize(text);
+        rows[ty.slot()].extend_from_slice(ctx.explicit.featurise_tokens(ty, &tokens).row(0));
+        sequences[ty.slot()].push(encode_sequence(&tokens, &tokenized.vocab, tokenized.seq_len));
+    }
+    let dim = ctx.explicit.dim;
+    let explicit = std::array::from_fn(|slot| {
+        Matrix::from_vec(sequences[slot].len(), dim, std::mem::take(&mut rows[slot]))
+    });
+    (explicit, sequences)
 }
 
 /// The HFLU input of `slot`'s nodes outside the corpus.
@@ -799,8 +874,9 @@ mod tests {
         assert_eq!(chained, fresh, "the same payload after {CHAIN} ingests");
     }
 
-    /// View-based scoring: requests may cite ingested neighbours, and a
-    /// by-id probability readout matches the transductive path.
+    /// Scoring against a served generation: requests may cite ingested
+    /// neighbours, and a by-id probability readout matches the
+    /// transductive path.
     #[test]
     fn view_scoring_accepts_ingested_neighbours_and_matches_predict_proba() {
         let f = fixture();
@@ -834,11 +910,10 @@ mod tests {
             Some(counts[1] - 1),
             vec![counts[2] - 1],
         );
-        let probs = trained.score_batch_view(&ctx, &view, std::slice::from_ref(&req)).unwrap();
-        assert!((probs[0].iter().sum::<f32>() - 1.0).abs() < 1e-4);
-        assert!(trained
-            .score_batch(&ctx, &trained.diffused_states(&ctx), std::slice::from_ref(&req))
-            .is_err());
+        let served = Some((&overlay, &states));
+        let probs = trained.score_batch(&ctx, &base_rounds, served, std::slice::from_ref(&req));
+        assert!((probs.unwrap()[0].iter().sum::<f32>() - 1.0).abs() < 1e-4);
+        assert!(trained.score_batch(&ctx, &base_rounds, None, std::slice::from_ref(&req)).is_err());
 
         // Base-node by-id readout agrees bitwise with predict_proba.
         let reference = trained.predict_proba(&ctx);

@@ -43,7 +43,7 @@ pub use checkpoint::FitOptions;
 pub use config::{FakeDetectorConfig, TrainMode};
 pub use gdu::GduCell;
 pub use hflu::{Hflu, HfluInput};
-pub use incremental::{DeltaCost, RoundDelta, StateOverlay, StateView};
+pub use incremental::{featurise_new_nodes, DeltaCost, RoundDelta, StateOverlay, StateView};
 pub use model::{FakeDetector, TrainReport};
 pub use trained::{ScoreRequest, TrainedFakeDetector};
 

@@ -1,8 +1,10 @@
 //! The per-node reference tape, kept as a test oracle: one tape variable
 //! per node and round, the arithmetic of §4.1–4.3 written node by node
-//! with the per-node GRU. The batched tape forward, the tape-free
-//! forward and inductive scoring are checked against it bitwise (the
-//! training loss too; gradients agree up to float reassociation).
+//! with the per-node GRU. The batched tape forward and the tape-free
+//! forward are checked against it bitwise (the training loss too;
+//! gradients agree up to float reassociation). Inductive scoring is
+//! checked against `TrainedFakeDetector::extended_states_rounds`, the
+//! reference ingest answers to.
 
 use crate::model::Network;
 use crate::{FakeDetectorConfig, Hflu, TrainedFakeDetector};
@@ -10,8 +12,7 @@ use fd_autograd::{Tape, Var};
 use fd_data::ExperimentContext;
 use fd_graph::NodeType;
 use fd_nn::Binding;
-use fd_tensor::{softmax_in_place, Matrix};
-use fd_text::{encode_sequence, Tokenizer};
+use fd_tensor::Matrix;
 
 /// One node's HFLU row, `[x^e | x^l]`, from its raw inputs.
 fn hflu_row(hflu: &Hflu, bind: &Binding<'_>, explicit: Matrix, sequence: &[usize]) -> Var {
@@ -121,33 +122,4 @@ pub(crate) fn logits(
     std::array::from_fn(|slot| {
         states[slot].iter().map(|&h| tape.value(network.heads[slot].forward(&bind, h))).collect()
     })
-}
-
-/// Class probabilities of a new article scored against the per-node
-/// states of its creator and subjects: one article-GDU step.
-pub(crate) fn score_article(
-    trained: &TrainedFakeDetector,
-    ctx: &ExperimentContext<'_>,
-    text: &str,
-    creator: Option<usize>,
-    subjects: &[usize],
-) -> Vec<f32> {
-    let (network, config) = (&trained.network, &trained.config);
-    let tokens = Tokenizer::default().tokenize(text);
-    let explicit = ctx.explicit.featurise_tokens(NodeType::Article, &tokens);
-    let sequence = encode_sequence(&tokens, &ctx.tokenized.vocab, ctx.tokenized.seq_len);
-    let tape = Tape::with_capacity(1 << 16);
-    let bind = Binding::new(&tape, &network.params);
-    let states = states(network, config, &bind, ctx);
-    let x = hflu_row(&network.hflu[0], &bind, explicit, &sequence);
-    let zero = tape.leaf(Matrix::zeros(1, config.gdu_hidden));
-    let z = aggregate(config, &tape, &states[2], subjects, zero);
-    let t_in = match creator {
-        Some(u) if config.use_diffusion => states[1][u],
-        _ => zero,
-    };
-    let h = network.gdu[0].forward(&bind, x, z, t_in, config.use_gates);
-    let mut probs = tape.value(network.heads[0].forward(&bind, h)).into_vec();
-    softmax_in_place(&mut probs);
-    probs
 }

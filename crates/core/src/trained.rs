@@ -3,17 +3,16 @@
 //!
 //! Inductive scoring addresses the paper's motivating goal of detecting
 //! fake news *timely*: a statement that has just appeared can be scored
-//! against the already-trained network without retraining, using its
-//! author's and subjects' diffused states.
+//! against the already-trained network without retraining, as if it were
+//! ingested now, by a dry run that leaves the graph untouched.
 
-use crate::incremental::StateView;
+use crate::incremental::{StateOverlay, StateView};
 use crate::model::{Network, NetworkDims};
 use crate::{FakeDetectorConfig, HfluInput, TrainReport};
 use fd_data::{ExperimentContext, Predictions};
-use fd_graph::NodeType;
+use fd_graph::{GraphOverlay, NodeType};
 use fd_nn::Params;
 use fd_tensor::{softmax_in_place, Matrix};
-use fd_text::{encode_sequence, Tokenizer};
 use serde::{Deserialize, Serialize};
 
 /// Total entities a transductive pass scores (all three node types).
@@ -217,9 +216,9 @@ impl TrainedFakeDetector {
     /// The corpus's diffused GDU states, one `count x hidden` matrix per
     /// node type (articles, creators, subjects). These depend only on
     /// the trained weights and the corpus, so a serving process computes
-    /// them once at startup and reuses them for every inductive request;
-    /// they are the neighbour-state inputs [`TrainedFakeDetector::score_batch`]
-    /// reads.
+    /// them once at startup, with every round
+    /// ([`TrainedFakeDetector::diffused_states_rounds`]), and reuses them
+    /// for every ingest and inductive request.
     pub fn diffused_states(&self, ctx: &ExperimentContext<'_>) -> [Matrix; 3] {
         self.diffused_states_rounds(ctx).pop().expect("at least one diffusion round")
     }
@@ -227,7 +226,8 @@ impl TrainedFakeDetector {
     /// [`TrainedFakeDetector::diffused_states`] keeping every round's
     /// state matrices (the final element is `diffused_states`). The
     /// per-round history is the baseline that incremental ingestion
-    /// ([`TrainedFakeDetector::delta_states`]) diffs against.
+    /// ([`TrainedFakeDetector::delta_states`]) and inductive scoring
+    /// ([`TrainedFakeDetector::score_batch`]) diff against.
     pub fn diffused_states_rounds(&self, ctx: &ExperimentContext<'_>) -> Vec<[Matrix; 3]> {
         self.check_ctx(ctx);
         let graph = &ctx.corpus.graph;
@@ -237,24 +237,13 @@ impl TrainedFakeDetector {
         })
     }
 
-    /// Checks a [`ScoreRequest`]'s neighbour indices against the corpus
-    /// without running the model — the serving layer rejects bad
-    /// requests with a 4xx *before* they reach the shared batch queue.
-    pub fn validate_request(
-        &self,
-        ctx: &ExperimentContext<'_>,
-        req: &ScoreRequest,
-    ) -> Result<(), String> {
-        self.validate_request_extended(
-            [ctx.corpus.articles.len(), ctx.corpus.creators.len(), ctx.corpus.subjects.len()],
-            req,
-        )
-    }
-
-    /// [`TrainedFakeDetector::validate_request`] against explicit node
-    /// counts `[articles, creators, subjects]` — the serving layer
-    /// passes its live combined counts (base corpus + ingested nodes)
-    /// so requests may reference ingested neighbours too.
+    /// Checks a [`ScoreRequest`] against node counts `[articles,
+    /// creators, subjects]` without running the model, refusing every
+    /// request the dry-run attach of [`TrainedFakeDetector::score_batch`]
+    /// would refuse. The serving layer passes its live combined counts
+    /// (base corpus + ingested nodes), so requests may cite ingested
+    /// neighbours, and rejects bad requests with a 4xx *before* they
+    /// reach the shared batch queue.
     pub fn validate_request_extended(
         &self,
         counts: [usize; 3],
@@ -266,13 +255,16 @@ impl TrainedFakeDetector {
                 if !req.articles.is_empty() {
                     return Err("article requests take creator/subjects, not articles".into());
                 }
-                if let Some(u) = req.creator {
-                    if u >= n_creators {
-                        return Err(format!("creator {u} out of range (corpus has {n_creators})"));
-                    }
+                if let Some(u) = req.creator.filter(|&u| u >= n_creators) {
+                    return Err(format!("creator {u} out of range (corpus has {n_creators})"));
                 }
                 if let Some(&s) = req.subjects.iter().find(|&&s| s >= n_subjects) {
                     return Err(format!("subject {s} out of range (corpus has {n_subjects})"));
+                }
+                for (i, s) in req.subjects.iter().enumerate() {
+                    if req.subjects[..i].contains(s) {
+                        return Err(format!("subject {s} listed twice"));
+                    }
                 }
             }
             NodeType::Creator | NodeType::Subject => {
@@ -290,98 +282,50 @@ impl TrainedFakeDetector {
         Ok(())
     }
 
-    /// **Micro-batched** inductive scoring: featurises every request's
-    /// text, groups requests by node type, and runs one matrix-level
-    /// forward per type — HFLU batch encode, one GDU step against the
-    /// precomputed corpus `states` (see
-    /// [`TrainedFakeDetector::diffused_states`]), one head matmul —
-    /// instead of one full pass per request. Returns per-class
-    /// probabilities in request order.
+    /// **Inductive** scoring as a dry-run ingest: the requests are
+    /// attached to a throwaway clone of the served generation (`served`,
+    /// or the bare corpus when `None`), the restricted loop of
+    /// [`TrainedFakeDetector::delta_states`] computes only the rows their
+    /// final-round states read, and those states go through the head.
+    /// Nothing is stored. `base_rounds` is the corpus history from
+    /// [`TrainedFakeDetector::diffused_states_rounds`]. Returns per-class
+    /// probabilities in request order, or `Err` (never a panic) when a
+    /// request fails [`TrainedFakeDetector::validate_request_extended`].
     ///
-    /// **Batching never changes an answer**: row `i` of every op here is
-    /// independent of the other rows, so the probabilities for a request
-    /// are bit-identical whether it is scored alone or with any
-    /// companions. That invariant is what lets the serving layer batch
-    /// opportunistically under load without becoming nondeterministic.
+    /// An article gets bitwise what ingesting it into the served
+    /// generation would report. A creator or subject is a one-way node:
+    /// its state reads its articles' round-(L − 1) states (zeros at
+    /// L = 1), and they do not read it.
     ///
-    /// Returns `Err` (never panics) when a request fails
-    /// [`TrainedFakeDetector::validate_request`].
+    /// **Batching never changes an answer.** At L ≤ 2 a state reads only
+    /// round-(L − 1) rows, which no new node changes, so a batch shares
+    /// one dry run (one HFLU encode and one GDU evaluation per node
+    /// type). From L = 3 on, an article's creator and subjects read it,
+    /// so each request runs alone.
     pub fn score_batch(
         &self,
         ctx: &ExperimentContext<'_>,
-        states: &[Matrix; 3],
+        base_rounds: &[[Matrix; 3]],
+        served: Option<(&GraphOverlay, &StateOverlay)>,
         requests: &[ScoreRequest],
     ) -> Result<Vec<Vec<f32>>, String> {
-        self.score_batch_view(ctx, &StateView::from_base(states), requests)
-    }
-
-    /// [`TrainedFakeDetector::score_batch`] reading neighbour states
-    /// through a [`StateView`] instead of plain matrices, so requests
-    /// can reference ingested nodes (appended rows) and base nodes
-    /// whose states an ingest delta patched. With an overlay-free view
-    /// the result is bit-identical to `score_batch` — the mean/gather
-    /// arithmetic replays `fd_tensor::mean_rows`/`gather_rows` exactly.
-    pub fn score_batch_view(
-        &self,
-        ctx: &ExperimentContext<'_>,
-        view: &StateView<'_>,
-        requests: &[ScoreRequest],
-    ) -> Result<Vec<Vec<f32>>, String> {
-        self.check_ctx(ctx);
-        let counts = view.counts();
+        let graph = served.map_or_else(|| GraphOverlay::new(&ctx.corpus.graph), |s| s.0.clone());
         for (i, req) in requests.iter().enumerate() {
-            self.validate_request_extended(counts, req).map_err(|e| format!("request {i}: {e}"))?;
+            self.validate_request_extended(graph.counts(), req)
+                .map_err(|e| format!("request {i}: {e}"))?;
         }
         fd_obs::counter("infer.score_batch_calls").inc();
         fd_obs::counter("infer.score_batch_items").add(requests.len() as u64);
-
-        let hidden = self.config.gdu_hidden;
-        let tokenizer = Tokenizer::default();
-        let mut by_slot: [Vec<usize>; 3] = Default::default();
-        for (i, req) in requests.iter().enumerate() {
-            by_slot[req.node_type.slot()].push(i);
-        }
-
-        let mut out: Vec<Vec<f32>> = vec![Vec::new(); requests.len()];
-        for (slot, members) in by_slot.iter().enumerate() {
-            if members.is_empty() {
-                continue;
-            }
-            let n = members.len();
-            let ty = NodeType::ALL[slot];
-            let mut explicit_rows = Matrix::zeros(n, ctx.explicit.dim);
-            let mut sequences: Vec<Vec<usize>> = Vec::with_capacity(n);
-            for (k, &ri) in members.iter().enumerate() {
-                let tokens = tokenizer.tokenize(&requests[ri].text);
-                explicit_rows
-                    .row_mut(k)
-                    .copy_from_slice(ctx.explicit.featurise_tokens(ty, &tokens).row(0));
-                sequences.push(encode_sequence(&tokens, &ctx.tokenized.vocab, ctx.tokenized.seq_len));
-            }
-            let seq_refs: Vec<&[usize]> = sequences.iter().map(Vec::as_slice).collect();
-            let x = self.network.hflu[slot]
-                .encode(&self.network.params, HfluInput::raw(explicit_rows, seq_refs));
-            // Articles aggregate subject states and read their creator's
-            // state; creators/subjects aggregate article states — the
-            // same wiring as one diffusion round of the full graph, read
-            // through the view (base matrix, ingest patch, or appended
-            // rows), so batching and overlays never change an answer.
-            let (z, t_in) = view.gdu_inputs(slot, n, hidden, |k| {
-                let req = &requests[members[k]];
-                match (self.config.use_diffusion, slot) {
-                    (false, _) => (&[][..], &[][..], None),
-                    (true, 0) => (req.subjects.as_slice(), &[][..], req.creator),
-                    (true, _) => (req.articles.as_slice(), &[][..], None),
-                }
-            });
-            let gdu = &self.network.gdu[slot];
-            let h = gdu.forward_matrix(&self.network.params, &x, &z, &t_in, self.config.use_gates);
-            let logits = self.network.heads[slot].forward_matrix(&self.network.params, &h);
-            for (k, &ri) in members.iter().enumerate() {
-                let mut probs = logits.row(k).to_vec();
-                softmax_in_place(&mut probs);
-                out[ri] = probs;
-            }
+        let group = if self.config.diffusion_rounds > 2 { 1 } else { requests.len().max(1) };
+        let mut out = Vec::with_capacity(requests.len());
+        for chunk in requests.chunks(group) {
+            let (states, ids, _) =
+                self.dry_run(ctx, base_rounds, (&graph, served.map(|s| s.1)), chunk)?;
+            let last = base_rounds.last().expect("the run checked the history");
+            let view = StateView::with_delta(last, states.final_round());
+            out.extend(chunk.iter().zip(ids).map(|(req, id)| {
+                self.node_probabilities(req.node_type, view.row(req.node_type.slot(), id))
+            }));
         }
         Ok(out)
     }
@@ -401,34 +345,27 @@ impl TrainedFakeDetector {
         probs
     }
 
-    /// **Inductive** scoring of an article that is *not* in the corpus:
-    /// its text is featurised with the trained word sets and vocabulary,
-    /// and one article-GDU step is run against the diffused states of
-    /// its (existing) creator and subjects. Returns per-class
-    /// probabilities under the training label mode — bit-identical to
-    /// the same request through [`TrainedFakeDetector::score_batch`],
-    /// which it wraps. It diffuses the whole corpus on every call;
-    /// callers scoring many articles should compute
-    /// [`TrainedFakeDetector::diffused_states`] once and batch.
-    ///
-    /// # Panics
-    /// Panics when `creator`/`subjects` indices are out of range.
+    /// **Inductive** scoring of one article that is *not* in the
+    /// corpus, citing corpus nodes: [`TrainedFakeDetector::score_batch`]
+    /// over the bare corpus, so it is scored as if it were ingested now.
+    /// It diffuses the whole corpus on every call; callers scoring many
+    /// articles should compute
+    /// [`TrainedFakeDetector::diffused_states_rounds`] once and batch.
+    /// Returns `Err` when `creator`/`subjects` indices are out of range
+    /// or a subject is listed twice.
     pub fn score_new_article(
         &self,
         ctx: &ExperimentContext<'_>,
         text: &str,
         creator: Option<usize>,
         subjects: &[usize],
-    ) -> Vec<f32> {
-        self.check_ctx(ctx);
+    ) -> Result<Vec<f32>, String> {
         fd_obs::counter("infer.new_article_scores").inc();
         let req = ScoreRequest::article(text, creator, subjects.to_vec());
-        if let Err(e) = self.validate_request(ctx, &req) {
-            panic!("score_new_article: {e}");
-        }
-        let states = self.diffused_states(ctx);
-        let mut probs = self.score_batch(ctx, &states, &[req]).expect("request validated above");
-        probs.pop().expect("one request, one answer")
+        self.validate_request_extended(GraphOverlay::new(&ctx.corpus.graph).counts(), &req)?;
+        let base_rounds = self.diffused_states_rounds(ctx);
+        let mut probs = self.score_batch(ctx, &base_rounds, None, &[req])?;
+        Ok(probs.pop().expect("one request, one answer"))
     }
 
     /// Serialises config + dimensions + weights + diagnostics to JSON.
@@ -494,7 +431,7 @@ impl TrainedFakeDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{oracle, FakeDetector};
+    use crate::{featurise_new_nodes, oracle, DeltaCost, FakeDetector};
     use fd_data::{
         generate, CvSplits, ExplicitFeatures, GeneratorConfig, LabelMode, TokenizedCorpus,
         TrainSets,
@@ -533,9 +470,14 @@ mod tests {
     }
 
     fn quick_train(ctx: &ExperimentContext<'_>) -> TrainedFakeDetector {
+        train_at(ctx, crate::FakeDetectorConfig::default().diffusion_rounds)
+    }
+
+    fn train_at(ctx: &ExperimentContext<'_>, rounds: usize) -> TrainedFakeDetector {
         let config = crate::FakeDetectorConfig {
             epochs: 1,
             validation_fraction: 0.0,
+            diffusion_rounds: rounds,
             ..crate::FakeDetectorConfig::default()
         };
         FakeDetector::new(config).fit(ctx)
@@ -573,36 +515,64 @@ mod tests {
         ]
     }
 
+    /// The sample requests at the default depth, and at L = 3 with two
+    /// more articles citing creator 2 and subject 1, as one of the
+    /// samples does: in a shared dry run they would read each other.
+    fn depth_inputs(f: &Fixture) -> [(usize, Vec<ScoreRequest>); 2] {
+        let mut deep = sample_requests(f);
+        deep.push(ScoreRequest::article("the governor cut the school budget", Some(2), vec![1]));
+        deep.push(ScoreRequest::article("budget cuts hit rural schools", Some(2), vec![3, 1]));
+        [(2, sample_requests(f)), (3, deep)]
+    }
+
+    /// What ingesting an article would report for it: the head over its
+    /// final-round row in the full recompute over a graph holding it.
+    fn ingested_reference(
+        trained: &TrainedFakeDetector,
+        ctx: &ExperimentContext<'_>,
+        text: &str,
+        creator: Option<usize>,
+        subjects: &[usize],
+    ) -> Vec<f32> {
+        let mut overlay = GraphOverlay::new(&ctx.corpus.graph);
+        let id = overlay.add_article(creator, subjects).unwrap();
+        let (explicit, sequences) = featurise_new_nodes(ctx, [(NodeType::Article, text)]);
+        let history = trained.extended_states_rounds(ctx, &overlay, &explicit, &sequences).unwrap();
+        trained.node_probabilities(NodeType::Article, history.last().unwrap()[0].row(id))
+    }
+
     /// The serving contract: scoring a request inside any batch is
     /// bitwise identical to scoring it alone.
     #[test]
     fn score_batch_is_bitwise_identical_to_singletons() {
         let f = fixture();
         let ctx = make_ctx(&f);
-        let trained = quick_train(&ctx);
-        let states = trained.diffused_states(&ctx);
-        let requests = sample_requests(&f);
+        for (rounds, requests) in depth_inputs(&f) {
+            let trained = train_at(&ctx, rounds);
+            let states = trained.diffused_states_rounds(&ctx);
 
-        let together = trained.score_batch(&ctx, &states, &requests).unwrap();
-        for (i, req) in requests.iter().enumerate() {
-            let alone =
-                trained.score_batch(&ctx, &states, std::slice::from_ref(req)).unwrap();
-            let (a, b) = (&alone[0], &together[i]);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "request {i}: {x} vs {y}");
+            let together = trained.score_batch(&ctx, &states, None, &requests).unwrap();
+            for (i, req) in requests.iter().enumerate() {
+                let alone =
+                    trained.score_batch(&ctx, &states, None, std::slice::from_ref(req)).unwrap();
+                let (a, b) = (&alone[0], &together[i]);
+                assert_eq!(a.len(), b.len());
+                for (x, y) in a.iter().zip(b) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "request {i}: {x} vs {y}");
+                }
             }
         }
     }
 
-    /// The batched article step agrees bitwise with the per-node oracle,
-    /// and `score_new_article` is that same step.
+    /// An inductive article is scored as if it were ingested: bitwise
+    /// the reference ingest answers to (`extended_states_rounds` over a
+    /// graph holding it), and `score_new_article` is that same dry run.
     #[test]
     fn score_batch_matches_per_node_article_step_bitwise() {
         let f = fixture();
         let ctx = make_ctx(&f);
         let trained = quick_train(&ctx);
-        let states = trained.diffused_states(&ctx);
+        let states = trained.diffused_states_rounds(&ctx);
 
         let cases = [
             ("new claims about medicare spending", Some(1), vec![0, 2]),
@@ -610,13 +580,100 @@ mod tests {
             ("only subjects", None, vec![1]),
         ];
         for (text, creator, subjects) in cases {
-            let reference = oracle::score_article(&trained, &ctx, text, creator, &subjects);
+            let reference = ingested_reference(&trained, &ctx, text, creator, &subjects);
             let req = ScoreRequest::article(text, creator, subjects.clone());
-            let batched = trained.score_batch(&ctx, &states, &[req]).unwrap();
-            let wrapped = trained.score_new_article(&ctx, text, creator, &subjects);
+            let batched = trained.score_batch(&ctx, &states, None, &[req]).unwrap();
+            let wrapped = trained.score_new_article(&ctx, text, creator, &subjects).unwrap();
             assert_bits_eq(&reference, &batched[0], text);
             assert_bits_eq(&wrapped, &batched[0], text);
         }
+    }
+
+    /// At L = 1, 2 and 3: an authorless article is scored as if it were
+    /// ingested, and a new creator or subject is the one-way node
+    /// `GDU(x, mean of its articles' round-(L − 1) states, 0)`, with
+    /// zeros at L = 1.
+    #[test]
+    fn dry_runs_follow_their_documented_formulas() {
+        let f = fixture();
+        let ctx = make_ctx(&f);
+        let graph = &f.corpus.graph;
+        let text = "breaking claims about the economy";
+        let readers = [
+            ScoreRequest::creator(
+                f.corpus.creators[1].profile.clone(),
+                graph.articles_of_creator(1).to_vec(),
+            ),
+            ScoreRequest::subject(
+                f.corpus.subjects[0].description.clone(),
+                graph.articles_of_subject(0).to_vec(),
+            ),
+        ];
+        for rounds in 1..=3 {
+            let trained = train_at(&ctx, rounds);
+            let (network, params) = (&trained.network, &trained.network.params);
+            let hidden = trained.config.gdu_hidden;
+            let history = trained.diffused_states_rounds(&ctx);
+            let authorless = ScoreRequest::article(text, None, vec![]);
+            let got = trained.score_batch(&ctx, &history, None, &[authorless]).unwrap();
+            let want = ingested_reference(&trained, &ctx, text, None, &[]);
+            assert_bits_eq(&got[0], &want, &format!("L={rounds} authorless article"));
+
+            let got = trained.score_batch(&ctx, &history, None, &readers).unwrap();
+            for (req, got) in readers.iter().zip(&got) {
+                let slot = req.node_type.slot();
+                let (explicit, sequences) =
+                    featurise_new_nodes(&ctx, [(req.node_type, req.text.as_str())]);
+                let input = HfluInput::raw(explicit[slot].clone(), vec![&sequences[slot][0]]);
+                let x = network.hflu[slot].encode(params, input);
+                let z = match rounds {
+                    1 => Matrix::zeros(1, hidden),
+                    _ => fd_tensor::mean_rows(&history[rounds - 2][0], 1, |_| &req.articles),
+                };
+                let t_in = Matrix::zeros(1, hidden);
+                let gates = trained.config.use_gates;
+                let h = network.gdu[slot].forward_matrix(params, &x, &z, &t_in, gates);
+                let want = trained.node_probabilities(req.node_type, h.row(0));
+                assert_bits_eq(got, &want, &format!("L={rounds} {:?}", req.node_type));
+            }
+        }
+    }
+
+    /// Bounded dry runs, by counts. At L = 2 a batch encodes only its
+    /// requests and recomputes no base row. At L = 3 an article citing
+    /// the largest creator and subject recomputes itself (rounds 1 and
+    /// 3) and, at round 2, that creator and subject, and none of the
+    /// readers an ingest of it must refresh.
+    #[test]
+    fn dry_runs_compute_only_the_rows_their_targets_read() {
+        let f = fixture();
+        let ctx = make_ctx(&f);
+        let g = &f.corpus.graph;
+        let served = GraphOverlay::new(g);
+        let requests = sample_requests(&f);
+        let trained = train_at(&ctx, 2);
+        let history = trained.diffused_states_rounds(&ctx);
+        let (_, _, cost) = trained.dry_run(&ctx, &history, (&served, None), &requests).unwrap();
+        let n = requests.len();
+        let want = DeltaCost { max_affected_base: 0, base_rows: 0, appended_rows: n, encoded: n };
+        assert_eq!(cost, want);
+
+        let hub_c = (0..g.n_creators()).max_by_key(|&u| g.articles_of_creator(u).len()).unwrap();
+        let hub_s = (0..g.n_subjects()).max_by_key(|&s| g.articles_of_subject(s).len()).unwrap();
+        let text = "a claim about the biggest names";
+        let trained = train_at(&ctx, 3);
+        let history = trained.diffused_states_rounds(&ctx);
+        let req = ScoreRequest::article(text, Some(hub_c), vec![hub_s]);
+        let (_, _, cost) = trained.dry_run(&ctx, &history, (&served, None), &[req]).unwrap();
+        let want = DeltaCost { max_affected_base: 2, base_rows: 2, appended_rows: 2, encoded: 3 };
+        assert_eq!(cost, want);
+
+        let mut ingested = served.clone();
+        ingested.add_article(hub_c, &[hub_s]).unwrap();
+        let (explicit, sequences) = featurise_new_nodes(&ctx, [(NodeType::Article, text)]);
+        let (_, ingest) =
+            trained.delta_states(&ctx, &history, None, &ingested, &explicit, &sequences).unwrap();
+        assert!(ingest.base_rows > 2 + g.articles_of_subject(hub_s).len(), "{ingest:?}");
     }
 
     /// Transductive prediction agrees bitwise with the per-node oracle —
@@ -682,17 +739,17 @@ mod tests {
         }
     }
 
-    /// Bad neighbour indices come back as `Err`, never a panic, and name
-    /// the offending request.
+    /// Bad neighbour indices and duplicated subjects come back as `Err`,
+    /// never a panic, and name the offending request.
     #[test]
     fn score_batch_rejects_bad_requests() {
         let f = fixture();
         let ctx = make_ctx(&f);
         let trained = quick_train(&ctx);
-        let states = trained.diffused_states(&ctx);
+        let states = trained.diffused_states_rounds(&ctx);
 
         let out_of_range = ScoreRequest::article("x", Some(usize::MAX), vec![]);
-        let err = trained.score_batch(&ctx, &states, &[out_of_range]).unwrap_err();
+        let err = trained.score_batch(&ctx, &states, None, &[out_of_range]).unwrap_err();
         assert!(err.contains("request 0"), "{err}");
         assert!(err.contains("out of range"), "{err}");
 
@@ -703,8 +760,16 @@ mod tests {
             subjects: vec![],
             articles: vec![],
         };
-        let err = trained.score_batch(&ctx, &states, &[misdirected]).unwrap_err();
+        let err = trained.score_batch(&ctx, &states, None, &[misdirected]).unwrap_err();
         assert!(err.contains("articles"), "{err}");
+
+        let twice = ScoreRequest::article("x", None, vec![1, 0, 1]);
+        let twice_err = trained.score_batch(&ctx, &states, None, std::slice::from_ref(&twice));
+        let err = twice_err.unwrap_err();
+        assert!(err.contains("subject 1 listed twice"), "{err}");
+        let counts = GraphOverlay::new(&f.corpus.graph).counts();
+        let alone = trained.validate_request_extended(counts, &twice);
+        assert_eq!(alone, Err(err.replace("request 0: ", "")));
     }
 
     /// `score_batch` must be invariant to `FD_THREADS`.
@@ -712,18 +777,19 @@ mod tests {
     fn score_batch_is_thread_invariant() {
         let f = fixture();
         let ctx = make_ctx(&f);
-        let trained = quick_train(&ctx);
-        let requests = sample_requests(&f);
-        let run = |threads: usize| {
-            fd_tensor::parallel::with_thread_count(threads, || {
-                let states = trained.diffused_states(&ctx);
-                trained.score_batch(&ctx, &states, &requests).unwrap()
-            })
-        };
-        let (one, four) = (run(1), run(4));
-        for (a, b) in one.iter().zip(&four) {
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits());
+        for (rounds, requests) in depth_inputs(&f) {
+            let trained = train_at(&ctx, rounds);
+            let run = |threads: usize| {
+                fd_tensor::parallel::with_thread_count(threads, || {
+                    let states = trained.diffused_states_rounds(&ctx);
+                    trained.score_batch(&ctx, &states, None, &requests).unwrap()
+                })
+            };
+            let (one, four) = (run(1), run(4));
+            for (a, b) in one.iter().zip(&four) {
+                for (x, y) in a.iter().zip(b) {
+                    assert_eq!(x.to_bits(), y.to_bits());
+                }
             }
         }
     }

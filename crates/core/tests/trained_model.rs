@@ -99,8 +99,8 @@ fn inductive_scoring_returns_distribution_and_reacts_to_text() {
     // Score a fabricated "new" statement with an existing creator/subject.
     let credible_text = "federal budget report shows unemployment rate decline percent census data";
     let fake_text = "obamacare hoax conspiracy rigged fraud banned secret takeover lies";
-    let p_credible = trained.score_new_article(&c, credible_text, Some(0), &[0, 1]);
-    let p_fake = trained.score_new_article(&c, fake_text, Some(0), &[0, 1]);
+    let p_credible = trained.score_new_article(&c, credible_text, Some(0), &[0, 1]).unwrap();
+    let p_fake = trained.score_new_article(&c, fake_text, Some(0), &[0, 1]).unwrap();
     for p in [&p_credible, &p_fake] {
         assert_eq!(p.len(), 2);
         let sum: f32 = p.iter().sum();
@@ -119,7 +119,7 @@ fn inductive_scoring_without_neighbours_still_works() {
     let f = fixture();
     let c = ctx(&f);
     let trained = quick_fit(&f);
-    let p = trained.score_new_article(&c, "economy jobs growth data", None, &[]);
+    let p = trained.score_new_article(&c, "economy jobs growth data", None, &[]).unwrap();
     assert_eq!(p.len(), 2);
     assert!(p.iter().all(|v| v.is_finite()));
 }
@@ -141,10 +141,10 @@ fn predict_rejects_mismatched_mode() {
 }
 
 #[test]
-#[should_panic(expected = "creator 9999 out of range")]
 fn inductive_scoring_checks_creator_bounds() {
     let f = fixture();
     let c = ctx(&f);
     let trained = quick_fit(&f);
-    let _ = trained.score_new_article(&c, "text", Some(9999), &[]);
+    let err = trained.score_new_article(&c, "text", Some(9999), &[]).unwrap_err();
+    assert!(err.contains("creator 9999 out of range"), "{err}");
 }

@@ -167,14 +167,6 @@ impl HetGraph {
         let _ = self.csr();
     }
 
-    /// The raw CSR arrays for one node type: `(offsets, targets)` with
-    /// `offsets.len() == count + 1`, so node `i` of `ty` owns
-    /// `targets[offsets[i]..offsets[i + 1]]`.
-    pub fn neighbor_csr(&self, ty: NodeType) -> (&[usize], &[NodeRef]) {
-        let csr = self.csr();
-        (&csr.offsets[ty as usize], &csr.targets[ty as usize])
-    }
-
     /// Number of articles.
     pub fn n_articles(&self) -> usize {
         self.n_articles
@@ -479,7 +471,8 @@ mod tests {
         g.finalize();
         let mut total = 0;
         for ty in NodeType::ALL {
-            let (offsets, targets) = g.neighbor_csr(ty);
+            let csr = g.csr();
+            let (offsets, targets) = (&csr.offsets[ty as usize], &csr.targets[ty as usize]);
             let count = match ty {
                 NodeType::Article => g.n_articles(),
                 NodeType::Creator => g.n_creators(),

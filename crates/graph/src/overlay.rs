@@ -16,7 +16,8 @@
 //!   `HetGraph::set_author` / `add_subject_link` at build time); base
 //!   articles never gain or lose neighbours, so their CSR slices stay
 //!   authoritative. Ingested creators/subjects start isolated and only
-//!   acquire edges when later articles cite them.
+//!   acquire edges when later articles cite them. A reader
+//!   ([`GraphOverlay::add_reader`]) lists articles that never list it back.
 //! * **Extras append in ingestion order.** A creator's combined article
 //!   list is its base slice followed by the overlay extras in the order
 //!   the citing articles arrived — exactly the insertion order a
@@ -46,7 +47,7 @@
 //! assert_eq!(overlay.counts(), [2, 2, 2]);
 //! ```
 
-use crate::{Chunked, HetGraph};
+use crate::{Chunked, HetGraph, NodeType};
 use std::sync::Arc;
 
 const EMPTY: &[usize] = &[];
@@ -59,8 +60,8 @@ pub struct GraphOverlay {
     /// Base node counts captured at construction:
     /// `[articles, creators, subjects]`.
     base: [usize; 3],
-    /// Author (combined creator index) of each appended article.
-    new_author: Chunked<usize>,
+    /// Author (combined creator index, if any) of each appended article.
+    new_author: Chunked<Option<usize>>,
     /// Subjects (combined indices, ingestion order, no duplicates) of
     /// each appended article.
     new_subjects: Chunked<Arc<[usize]>>,
@@ -133,15 +134,37 @@ impl GraphOverlay {
         self.base[2] + self.new_subjects_n - 1
     }
 
-    /// Appends an article authored by `creator` and indicating
+    /// Appends a creator or subject whose article list is `articles`, one
+    /// way: those articles do not list it back. Scoring a new creator or
+    /// subject adds one; no ingest does.
+    pub fn add_reader(&mut self, ty: NodeType, articles: &[usize]) -> Result<usize, String> {
+        let n_articles = self.counts()[0];
+        if let Some(&a) = articles.iter().find(|&&a| a >= n_articles) {
+            return Err(format!("article {a} out of range (graph has {n_articles})"));
+        }
+        let (node, extras) = match ty {
+            NodeType::Article => return Err("articles attach through add_article".into()),
+            NodeType::Creator => (self.add_creator(), &mut self.extra_creator_articles),
+            NodeType::Subject => (self.add_subject(), &mut self.extra_subject_articles),
+        };
+        extras.set(node, articles.into());
+        Ok(node)
+    }
+
+    /// Appends an article authored by `creator` (if any) and indicating
     /// `subjects` (combined indices — base nodes and previously
     /// appended nodes are both valid targets). Returns the article's
     /// combined index, or an error naming the offending edge target
     /// without mutating anything.
-    pub fn add_article(&mut self, creator: usize, subjects: &[usize]) -> Result<usize, String> {
+    pub fn add_article(
+        &mut self,
+        creator: impl Into<Option<usize>>,
+        subjects: &[usize],
+    ) -> Result<usize, String> {
+        let creator = creator.into();
         let [_, n_creators, n_subjects] = self.counts();
-        if creator >= n_creators {
-            return Err(format!("creator {creator} out of range (graph has {n_creators})"));
+        if let Some(u) = creator.filter(|&u| u >= n_creators) {
+            return Err(format!("creator {u} out of range (graph has {n_creators})"));
         }
         if let Some(&s) = subjects.iter().find(|&&s| s >= n_subjects) {
             return Err(format!("subject {s} out of range (graph has {n_subjects})"));
@@ -154,7 +177,9 @@ impl GraphOverlay {
         let article = self.base[0] + self.new_author.len();
         self.new_author.push(creator);
         self.new_subjects.push(subjects.into());
-        push_extra(&mut self.extra_creator_articles, creator, article);
+        if let Some(u) = creator {
+            push_extra(&mut self.extra_creator_articles, u, article);
+        }
         for &s in subjects {
             push_extra(&mut self.extra_subject_articles, s, article);
         }
@@ -167,7 +192,7 @@ impl GraphOverlay {
         if article < self.base[0] {
             base.author_of(article)
         } else {
-            self.new_author.get(article - self.base[0]).copied()
+            self.new_author.get(article - self.base[0]).copied().flatten()
         }
     }
 

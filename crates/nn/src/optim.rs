@@ -32,19 +32,6 @@ impl Adam {
         Self { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, step: 0, m: Vec::new(), v: Vec::new() }
     }
 
-    /// Overrides the exponential-decay coefficients.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2));
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
-    /// Update steps taken so far (the bias-correction exponent).
-    pub fn step_count(&self) -> u64 {
-        self.step
-    }
-
     /// Snapshots the optimiser state for checkpointing. Moments are
     /// keyed by parameter *name* (resolved through `params`) rather
     /// than raw index, so a restore into a freshly rebuilt network is
@@ -456,7 +443,7 @@ mod tests {
         // And restoring it leaves the untouched slot untouched.
         let mut opt2 = Adam::new(0.1);
         opt2.restore_state(&params, &state).unwrap();
-        assert_eq!(opt2.step_count(), 1);
+        assert_eq!(opt2.export_state(&params).step, 1);
     }
 
     #[test]

@@ -103,17 +103,6 @@ impl Params {
             .map(|(i, (n, v))| (ParamId(i), n.as_str(), v))
     }
 
-    /// Sum of squared entries over every parameter — the `L_reg(W)` term
-    /// of the paper's objective, evaluated outside the tape. (The tape
-    /// version used during training is assembled per-parameter so
-    /// gradients flow; this one is for reporting.)
-    pub fn l2_norm_squared(&self) -> f32 {
-        self.values
-            .iter()
-            .map(|m| m.as_slice().iter().map(|&v| v * v).sum::<f32>())
-            .sum()
-    }
-
     /// Serialises the store to a JSON string.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("Params serialisation cannot fail")
@@ -174,12 +163,11 @@ mod tests {
     }
 
     #[test]
-    fn scalar_count_and_l2() {
+    fn scalar_count_counts_every_entry() {
         let mut p = Params::new();
         p.get_or_insert("a", || Matrix::filled(2, 2, 2.0));
         p.get_or_insert("b", || Matrix::filled(1, 3, -1.0));
         assert_eq!(p.scalar_count(), 7);
-        assert_eq!(p.l2_norm_squared(), 16.0 + 3.0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! writing, a ticket-unique even value when stable), so recording
 //! never blocks and the newest spans overwrite the oldest under
 //! overload; a span whose slot another writer holds is dropped.
-//! Readers ([`export_chrome_json`], [`take_spans`]) discard any slot
+//! Readers ([`snapshot_spans`], [`take_spans`]) discard any slot
 //! whose sequence moved while they were reading it — a torn span can
 //! never be observed.
 //!
@@ -496,11 +496,6 @@ pub fn chrome_json(spans: &[Span]) -> String {
     }
     out.push_str("\n]}\n");
     out
-}
-
-/// [`chrome_json`] over the current buffer contents.
-pub fn export_chrome_json() -> String {
-    chrome_json(&snapshot_spans())
 }
 
 /// Writes the buffered spans to `FD_TRACE_FILE` as Chrome trace JSON

@@ -148,11 +148,6 @@ impl Router {
         self.addr
     }
 
-    /// Whether shutdown has been requested (for supervision loops).
-    pub fn is_shutting_down(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
     /// Requests shutdown without joining (signal-handler friendly).
     pub fn request_shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);

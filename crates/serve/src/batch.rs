@@ -107,16 +107,12 @@ impl BatchQueue {
         }
     }
 
-    /// Enqueues one request; returns the receiver its result will arrive
-    /// on. Fails immediately (no blocking) when the queue is full or the
-    /// server is shutting down.
-    pub fn enqueue(&self, request: ScoreRequest) -> Result<Receiver<ScoreResult>, EnqueueError> {
-        self.enqueue_traced(request, TraceCtx::off())
-    }
-
-    /// [`Self::enqueue`] carrying the HTTP request's trace context, so
-    /// the batcher can attribute queue wait and scoring time to it.
-    pub fn enqueue_traced(
+    /// Enqueues one request carrying the HTTP request's trace context,
+    /// so the batcher can attribute queue wait and scoring time to it;
+    /// returns the receiver its result will arrive on. Fails immediately
+    /// (no blocking) when the queue is full or the server is shutting
+    /// down.
+    pub fn enqueue(
         &self,
         request: ScoreRequest,
         trace: TraceCtx,
@@ -227,7 +223,7 @@ mod tests {
     fn drains_up_to_max_batch() {
         let q = BatchQueue::new(64, 3, Duration::from_millis(1));
         for i in 0..5 {
-            q.enqueue(req(&format!("r{i}"))).unwrap();
+            q.enqueue(req(&format!("r{i}")), TraceCtx::off()).unwrap();
         }
         let first = q.next_batch().unwrap();
         assert_eq!(first.requests.len(), 3);
@@ -240,16 +236,16 @@ mod tests {
     #[test]
     fn bound_rejects_excess_jobs() {
         let q = BatchQueue::new(2, 8, Duration::from_millis(1));
-        q.enqueue(req("a")).unwrap();
-        q.enqueue(req("b")).unwrap();
-        assert_eq!(q.enqueue(req("c")).unwrap_err(), EnqueueError::Full);
+        q.enqueue(req("a"), TraceCtx::off()).unwrap();
+        q.enqueue(req("b"), TraceCtx::off()).unwrap();
+        assert_eq!(q.enqueue(req("c"), TraceCtx::off()).unwrap_err(), EnqueueError::Full);
     }
 
     #[test]
     fn dispatches_partial_batch_after_delay() {
         let q = BatchQueue::new(64, 32, Duration::from_millis(5));
         let start = Instant::now();
-        q.enqueue(req("lonely")).unwrap();
+        q.enqueue(req("lonely"), TraceCtx::off()).unwrap();
         let batch = q.next_batch().unwrap();
         assert_eq!(batch.requests.len(), 1);
         // Dispatched once the delay lapsed, not after an indefinite wait.
@@ -260,8 +256,8 @@ mod tests {
     #[test]
     fn full_batch_dispatches_before_delay() {
         let q = BatchQueue::new(64, 2, Duration::from_secs(30));
-        q.enqueue(req("a")).unwrap();
-        q.enqueue(req("b")).unwrap();
+        q.enqueue(req("a"), TraceCtx::off()).unwrap();
+        q.enqueue(req("b"), TraceCtx::off()).unwrap();
         let start = Instant::now();
         let batch = q.next_batch().unwrap();
         assert_eq!(batch.requests.len(), 2);
@@ -271,9 +267,10 @@ mod tests {
     #[test]
     fn shutdown_drains_then_ends() {
         let q = Arc::new(BatchQueue::new(64, 4, Duration::from_secs(30)));
-        q.enqueue(req("in-flight")).unwrap();
+        q.enqueue(req("in-flight"), TraceCtx::off()).unwrap();
         q.shutdown();
-        assert_eq!(q.enqueue(req("late")).unwrap_err(), EnqueueError::ShuttingDown);
+        let late = q.enqueue(req("late"), TraceCtx::off());
+        assert_eq!(late.unwrap_err(), EnqueueError::ShuttingDown);
         // The queued job is still delivered (no delay wait under shutdown)…
         let batch = q.next_batch().unwrap();
         assert_eq!(batch.requests.len(), 1);
@@ -297,7 +294,7 @@ mod tests {
             })
         };
         assert!(poisoner.join().is_err(), "poisoner thread must have panicked");
-        q.enqueue(req("after-poison")).unwrap();
+        q.enqueue(req("after-poison"), TraceCtx::off()).unwrap();
         let batch = q.next_batch().unwrap();
         assert_eq!(batch.requests[0].text, "after-poison");
         q.shutdown();

@@ -20,8 +20,9 @@
 //!
 //! [`ServeModel`] is the shareable handle behind it all: corpus,
 //! feature pipeline, trained weights, and the precomputed diffused
-//! corpus states, so each request costs one batched HFLU encode + one
-//! GDU step instead of a full graph pass.
+//! corpus states, so a request is a dry-run ingest that computes only
+//! the rows it reads (at the default depth, one batched HFLU encode +
+//! one GDU evaluation per batch) instead of a full graph pass.
 //!
 //! `POST /v1/ingest` grows the graph online: new articles, creators and
 //! subjects attach behind the same hot-swap slot SIGHUP reloads use,

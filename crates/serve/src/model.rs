@@ -3,18 +3,17 @@
 //! [`ServeModel`] owns everything a request needs — the corpus, the
 //! rebuilt feature pipeline, the trained weights, and the precomputed
 //! diffused states — so the server can score inductive requests with a
-//! single batched GDU step instead of replaying the whole graph pass
-//! per request. It is `Send + Sync` and lives behind an `Arc` shared
-//! by every handler thread and the batcher.
+//! dry-run ingest that computes only the rows they read, instead of
+//! replaying the whole graph pass per request. It is `Send + Sync` and
+//! lives behind an `Arc` shared by every handler thread and the batcher.
 
-use fd_core::{ScoreRequest, StateOverlay, StateView, TrainedFakeDetector};
+use fd_core::{featurise_new_nodes, ScoreRequest, StateOverlay, StateView, TrainedFakeDetector};
 use fd_data::{
     Corpus, Credibility, ExperimentContext, ExplicitFeatures, LabelMode, TokenizedCorpus,
     TrainSets,
 };
 use fd_graph::{GraphOverlay, NodeType};
 use fd_tensor::Matrix;
-use fd_text::{encode_sequence, Tokenizer};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
@@ -215,15 +214,6 @@ impl BaseModel {
     }
 }
 
-/// Ingested nodes layered over a [`BaseModel`]: the overlay adjacency
-/// and the per-round states. Both are append-only stores of `Arc`'d
-/// chunks, so the next generation shares them with this one and copies
-/// only the chunks its batch writes.
-struct IngestOverlay {
-    graph: GraphOverlay,
-    states: StateOverlay,
-}
-
 fn type_name(ty: NodeType) -> &'static str {
     match ty {
         NodeType::Article => "article",
@@ -233,8 +223,8 @@ fn type_name(ty: NodeType) -> &'static str {
 }
 
 /// A self-contained, thread-shareable serving handle: corpus + feature
-/// pipeline + trained weights + precomputed diffused states, plus an
-/// optional overlay of nodes ingested since the last full load.
+/// pipeline + trained weights + precomputed diffused states, plus the
+/// overlay of nodes ingested since the last full load (empty at load).
 ///
 /// Ingestion is copy-on-write: [`ServeModel::ingest`] returns a *new*
 /// handle sharing the same base (behind an `Arc`) with the grown
@@ -242,7 +232,11 @@ fn type_name(ty: NodeType) -> &'static str {
 /// untouched. The server's model slot swaps handles atomically.
 pub struct ServeModel {
     base: Arc<BaseModel>,
-    overlay: Option<IngestOverlay>,
+    /// The ingested nodes' adjacency and per-round states: append-only
+    /// stores of `Arc`'d chunks, so the next generation shares them
+    /// with this one and copies only the chunks its batch writes.
+    graph: GraphOverlay,
+    states: StateOverlay,
 }
 
 impl ServeModel {
@@ -273,10 +267,9 @@ impl ServeModel {
             let _timer = fd_obs::span_timed("serve.warmup", hist);
             trained.diffused_states_rounds(&ctx)
         };
-        Self {
-            base: Arc::new(BaseModel { corpus, tokenized, explicit, train, mode, trained, rounds }),
-            overlay: None,
-        }
+        let (graph, states) = (GraphOverlay::new(&corpus.graph), StateOverlay::new(rounds.len()));
+        let base = BaseModel { corpus, tokenized, explicit, train, mode, trained, rounds };
+        Self { base: Arc::new(base), graph, states }
     }
 
     /// Builds a serving handle from a corpus and a serialized
@@ -307,39 +300,20 @@ impl ServeModel {
         Self::from_bundle_json(corpus, &bundle_json)
     }
 
-    /// Combined node counts, `[articles, creators, subjects]`.
-    fn counts(&self) -> [usize; 3] {
-        match &self.overlay {
-            Some(overlay) => overlay.graph.counts(),
-            None => {
-                let c = &self.base.corpus;
-                [c.articles.len(), c.creators.len(), c.subjects.len()]
-            }
-        }
-    }
-
-    /// The state view requests score against: the final diffusion
-    /// round, patched/extended by the ingest overlay when present.
-    fn view(&self) -> StateView<'_> {
-        let last = self.base.rounds.last().expect("at least one diffusion round");
-        match &self.overlay {
-            Some(overlay) => StateView::with_delta(last, overlay.states.final_round()),
-            None => StateView::from_base(last),
-        }
-    }
-
     /// Checks a request against the combined graph (neighbour indices
     /// in range — ingested nodes are valid neighbours — and neighbour
     /// kinds appropriate for the node type) without scoring.
     pub fn validate(&self, request: &ScoreRequest) -> Result<(), String> {
-        self.base.trained.validate_request_extended(self.counts(), request)
+        self.base.trained.validate_request_extended(self.graph.counts(), request)
     }
 
-    /// Scores a batch of requests in one matrix pass of the trained f32
-    /// forward. Results are bitwise-identical to scoring each request
-    /// alone, and `/v1/predict` carries them to clients bit for bit.
+    /// Scores a batch of requests as a dry-run ingest into this
+    /// generation ([`TrainedFakeDetector::score_batch`]): an article gets
+    /// the bits [`ServeModel::ingest`] would report for it, alone or in
+    /// any batch, and `/v1/predict` carries them to clients bit for bit.
     pub fn score(&self, requests: &[ScoreRequest]) -> Result<Vec<Vec<f32>>, String> {
-        self.base.trained.score_batch_view(&self.base.ctx(), &self.view(), requests)
+        let served = Some((&self.graph, &self.states));
+        self.base.trained.score_batch(&self.base.ctx(), &self.base.rounds, served, requests)
     }
 
     /// Credibility distribution of a node *already in* the combined
@@ -348,7 +322,7 @@ impl ServeModel {
     /// range, so callers can map them to 404.
     pub fn score_node(&self, ty: NodeType, idx: usize) -> Result<Vec<f32>, String> {
         let slot = ty.slot();
-        let counts = self.counts();
+        let counts = self.graph.counts();
         if idx >= counts[slot] {
             return Err(format!(
                 "{} {idx} out of range (graph has {})",
@@ -356,7 +330,9 @@ impl ServeModel {
                 counts[slot]
             ));
         }
-        Ok(self.base.trained.node_probabilities(ty, self.view().row(slot, idx)))
+        let last = self.base.rounds.last().expect("at least one diffusion round");
+        let view = StateView::with_delta(last, self.states.final_round());
+        Ok(self.base.trained.node_probabilities(ty, view.row(slot, idx)))
     }
 
     /// Attaches a batch of new nodes and runs incremental diffusion,
@@ -418,51 +394,32 @@ impl ServeModel {
         }
         let base = &self.base;
         let attach_start = Instant::now();
-        let mut graph = match &self.overlay {
-            Some(o) => o.graph.clone(),
-            None => GraphOverlay::new(&base.corpus.graph),
-        };
-        let dim = base.explicit.dim;
-        let sizes = [batch.articles.len(), batch.creators.len(), batch.subjects.len()];
-        let mut explicit: [Matrix; 3] = std::array::from_fn(|slot| Matrix::zeros(sizes[slot], dim));
-        let mut sequences: [Vec<Vec<usize>>; 3] = Default::default();
-        {
-            // Featurisation goes through the *frozen* pipeline: the
-            // training-time vocabulary and χ² word sets, exactly as base
-            // nodes were featurised. (Refreshing the pipeline itself is
-            // the slow path: retrain + SIGHUP.)
-            let tokenizer = Tokenizer::default();
-            let mut featurise = |slot: usize, ty: NodeType, text: &str| {
-                let tokens = tokenizer.tokenize(text);
-                let k = sequences[slot].len();
-                explicit[slot]
-                    .row_mut(k)
-                    .copy_from_slice(base.explicit.featurise_tokens(ty, &tokens).row(0));
-                sequences[slot]
-                    .push(encode_sequence(&tokens, &base.tokenized.vocab, base.tokenized.seq_len));
-            };
-            for creator in &batch.creators {
-                graph.add_creator();
-                featurise(1, NodeType::Creator, &creator.profile);
-            }
-            for subject in &batch.subjects {
-                graph.add_subject();
-                featurise(2, NodeType::Subject, &subject.description);
-            }
-            for (i, article) in batch.articles.iter().enumerate() {
-                graph
-                    .add_article(article.creator, &article.subjects)
-                    .map_err(|e| format!("article {i}: {e}"))?;
-                featurise(0, NodeType::Article, &article.text);
-            }
+        let mut graph = self.graph.clone();
+        for _ in &batch.creators {
+            graph.add_creator();
         }
+        for _ in &batch.subjects {
+            graph.add_subject();
+        }
+        for (i, article) in batch.articles.iter().enumerate() {
+            graph
+                .add_article(article.creator, &article.subjects)
+                .map_err(|e| format!("article {i}: {e}"))?;
+        }
+        // Featurisation goes through the *frozen* pipeline, exactly as
+        // base nodes were featurised. (Refreshing the pipeline itself is
+        // the slow path: retrain + SIGHUP.)
+        let texts = batch.creators.iter().map(|c| (NodeType::Creator, c.profile.as_str()))
+            .chain(batch.subjects.iter().map(|s| (NodeType::Subject, s.description.as_str())))
+            .chain(batch.articles.iter().map(|a| (NodeType::Article, a.text.as_str())));
+        let (explicit, sequences) = featurise_new_nodes(&base.ctx(), texts);
         let attach_us = attach_start.elapsed().as_micros() as u64;
 
         let diffuse_start = Instant::now();
         let (states, cost) = base.trained.delta_states(
             &base.ctx(),
             &base.rounds,
-            self.overlay.as_ref().map(|o| &o.states),
+            Some(&self.states),
             &graph,
             &explicit,
             &sequences,
@@ -471,10 +428,7 @@ impl ServeModel {
 
         let counts = graph.counts();
         let diffusion_rounds = states.rounds().len();
-        let next = ServeModel {
-            base: Arc::clone(&self.base),
-            overlay: Some(IngestOverlay { graph, states }),
-        };
+        let next = ServeModel { base: Arc::clone(&self.base), graph, states };
         // Assigned ids: this batch's nodes are the last of each slot.
         let scored = |ty: NodeType, total: usize, n: usize| -> Result<Vec<IngestedNode>, String> {
             (total - n..total)
@@ -515,7 +469,7 @@ impl ServeModel {
     /// corpus plus ingested nodes — reported by `/healthz` so operators
     /// can sanity-check what is being served.
     pub fn corpus_sizes(&self) -> (usize, usize, usize) {
-        let [articles, creators, subjects] = self.counts();
+        let [articles, creators, subjects] = self.graph.counts();
         (articles, creators, subjects)
     }
 }

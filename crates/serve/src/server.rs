@@ -162,11 +162,6 @@ impl ShutdownHandle {
         // observe the flag.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
     }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
 }
 
 impl Server {
@@ -740,7 +735,7 @@ fn predict_one(
     if let Err(e) = model.validate(&score_request) {
         return (400, error_body(&e), vec![]);
     }
-    let receiver = match queue.enqueue_traced(score_request, *trace) {
+    let receiver = match queue.enqueue(score_request, *trace) {
         Ok(rx) => rx,
         Err(e) => return enqueue_failure(queue, e),
     };
@@ -786,7 +781,7 @@ fn predict_batch(
     }
     let mut receivers = Vec::with_capacity(score_requests.len());
     for score_request in score_requests {
-        match queue.enqueue_traced(score_request, *trace) {
+        match queue.enqueue(score_request, *trace) {
             Ok(rx) => receivers.push(rx),
             // Earlier items of this batch stay queued; their results are
             // dropped by the batcher when it finds the receivers dead.

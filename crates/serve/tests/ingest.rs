@@ -404,6 +404,60 @@ fn answers(model: &ServeModel, requests: &[ScoreRequest]) -> Vec<Vec<u32>> {
     out
 }
 
+/// A serving handle over the shared corpus whose model diffuses
+/// `rounds` rounds.
+fn model_at(rounds: usize) -> ServeModel {
+    let (corpus, _, train) = parts();
+    let tokenized = TokenizedCorpus::build(corpus, SEQ_LEN, MAX_VOCAB);
+    let explicit = ExplicitFeatures::extract(corpus, &tokenized, train, EXPLICIT_DIM);
+    let ctx = ExperimentContext {
+        corpus,
+        tokenized: &tokenized,
+        explicit: &explicit,
+        train,
+        mode: LabelMode::Binary,
+        seed: 7,
+    };
+    let config = FakeDetectorConfig {
+        epochs: 1,
+        validation_fraction: 0.0,
+        diffusion_rounds: rounds,
+        ..FakeDetectorConfig::default()
+    };
+    let trained = FakeDetector::new(config).fit(&ctx);
+    let (train, mode) = (train.clone(), LabelMode::Binary);
+    ServeModel::new(corpus.clone(), trained, train, mode, EXPLICIT_DIM, SEQ_LEN, MAX_VOCAB)
+}
+
+/// One answer per new article: at L = 1, 2 and 3, `score` of an
+/// article request returns the bits `ingest` reports for the same text,
+/// creator and subjects, on a freshly loaded model and on a generation
+/// that has ingested a batch whose new creator and subject it cites.
+#[test]
+fn inductive_article_score_is_bitwise_its_ingest_report() {
+    let text = "fresh claim about the border and the budget";
+    let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for rounds in 1..=3 {
+        let fresh = model_at(rounds);
+        let (grown, report) = fresh.ingest(&make_batch(3, fresh.corpus_sizes(), 0)).expect("ingest");
+        let (new_creator, new_subject) = (report.creators[0].id, report.subjects[0].id);
+        for (model, creator, subjects) in [(&fresh, 0, vec![0, 1]), (&grown, new_creator, vec![new_subject, 0])]
+        {
+            let request = ScoreRequest::article(text, Some(creator), subjects.clone());
+            let scored = model.score(&[request]).expect("score").remove(0);
+            let article = IngestArticle { text: text.into(), creator, subjects };
+            let batch = IngestBatch { articles: vec![article], ..IngestBatch::default() };
+            let (_, report) = model.ingest(&batch).expect("ingest the scored article");
+            assert_eq!(
+                bits(&scored),
+                bits(&report.articles[0].probabilities),
+                "L={rounds}, creator {creator}: {scored:?} vs {:?}",
+                report.articles[0].probabilities
+            );
+        }
+    }
+}
+
 /// A handle pinned before 200 further ingests answers exactly as it
 /// did: later generations share its chunks but never write them. The
 /// later ingests re-cite base hubs and nodes ingested before the pin,

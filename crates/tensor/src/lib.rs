@@ -44,9 +44,6 @@ pub use ops::{current_simd_level, simd_level, with_simd_level, SimdLevel};
 pub use reduce::{argmax_slice, ArgMax};
 pub use stable::{log_sum_exp, softmax_in_place, softmax_rows, stable_sigmoid};
 
-/// Absolute tolerance used by the test helpers in this workspace.
-pub const TEST_EPS: f32 = 1e-4;
-
 /// Asserts two matrices are element-wise equal within `tol`.
 ///
 /// Intended for tests; panics with the first offending coordinate.

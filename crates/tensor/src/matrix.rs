@@ -158,11 +158,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its row-major elements.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Row `r` as a slice.
     ///
     /// # Panics
@@ -292,7 +287,7 @@ mod tests {
         let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(m[(0, 1)], 2.0);
         assert_eq!(m[(1, 0)], 3.0);
-        assert_eq!(m.into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

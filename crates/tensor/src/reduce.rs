@@ -46,11 +46,6 @@ impl Matrix {
         self.sum() / self.len() as f32
     }
 
-    /// Per-row sums as an `rows x 1` column.
-    pub fn row_sums(&self) -> Matrix {
-        Matrix::from_fn(self.rows(), 1, |r, _| self.row(r).iter().sum())
-    }
-
     /// Per-column sums as a `1 x cols` row vector.
     pub fn col_sums(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols());
@@ -98,7 +93,6 @@ mod tests {
         let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(m.sum(), 21.0);
         assert_eq!(m.mean(), 3.5);
-        assert_eq!(m.row_sums(), Matrix::from_rows(&[&[6.0], &[15.0]]));
         assert_eq!(m.col_sums(), Matrix::row_vector(&[5.0, 7.0, 9.0]));
         assert_eq!(m.col_means(), Matrix::row_vector(&[2.5, 3.5, 4.5]));
     }

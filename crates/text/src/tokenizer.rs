@@ -24,12 +24,6 @@ impl Default for Tokenizer {
 }
 
 impl Tokenizer {
-    /// A tokenizer that keeps everything — useful for raw frequency
-    /// analysis.
-    pub fn keep_all() -> Self {
-        Self { min_len: 1, remove_stop_words: false, drop_numeric: false }
-    }
-
     /// Splits `text` into owned, lower-cased tokens.
     pub fn tokenize(&self, text: &str) -> Vec<String> {
         text.split(|c: char| !c.is_alphanumeric() && c != '\'')
@@ -76,13 +70,6 @@ mod tests {
         let t = Tokenizer::default();
         let toks = t.tokenize("this is about the economy and jobs");
         assert_eq!(toks, vec!["economy", "jobs"]);
-    }
-
-    #[test]
-    fn keep_all_retains_everything() {
-        let t = Tokenizer::keep_all();
-        let toks = t.tokenize("the 2016 vote");
-        assert_eq!(toks, vec!["the", "2016", "vote"]);
     }
 
     #[test]

@@ -120,11 +120,6 @@ impl Vocab {
         self.documents
     }
 
-    /// Words in rank order (most frequent first) with their counts.
-    pub fn iter_ranked(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.words.iter().map(String::as_str).zip(self.counts.iter().copied())
-    }
-
     /// Restores the lookup index after deserialisation.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         let mut v: Vocab = serde_json::from_str(json)?;
@@ -151,7 +146,7 @@ mod tests {
     #[test]
     fn build_orders_by_frequency() {
         let v = Vocab::build(docs(&["tax tax tax economy economy health"]), 1, 100);
-        let ranked: Vec<&str> = v.iter_ranked().map(|(w, _)| w).collect();
+        let ranked: Vec<&str> = (RESERVED_IDS..v.id_space()).filter_map(|id| v.word(id)).collect();
         assert_eq!(ranked, vec!["tax", "economy", "health"]);
         assert_eq!(v.count(v.id("tax").unwrap()), 3);
     }
@@ -194,9 +189,9 @@ mod tests {
     #[test]
     fn word_id_roundtrip() {
         let v = Vocab::build(docs(&["president economy gun hoax"]), 1, 100);
-        for (w, _) in v.iter_ranked() {
-            let id = v.id(w).unwrap();
-            assert_eq!(v.word(id), Some(w));
+        for id in RESERVED_IDS..v.id_space() {
+            let w = v.word(id).unwrap();
+            assert_eq!(v.id(w), Some(id));
         }
     }
 
@@ -204,8 +199,10 @@ mod tests {
     fn tie_break_is_alphabetical_and_deterministic() {
         let v1 = Vocab::build(docs(&["zeta alpha mid"]), 1, 100);
         let v2 = Vocab::build(docs(&["zeta alpha mid"]), 1, 100);
-        let r1: Vec<&str> = v1.iter_ranked().map(|(w, _)| w).collect();
-        let r2: Vec<&str> = v2.iter_ranked().map(|(w, _)| w).collect();
+        let ranked = |v: &Vocab| -> Vec<String> {
+            (RESERVED_IDS..v.id_space()).filter_map(|id| v.word(id)).map(str::to_string).collect()
+        };
+        let (r1, r2) = (ranked(&v1), ranked(&v2));
         assert_eq!(r1, r2);
         assert_eq!(r1, vec!["alpha", "mid", "zeta"]);
     }

@@ -3,8 +3,9 @@
 //! introduction ("identify the fake news timely").
 //!
 //! Trains once, saves the model to JSON, reloads it (as a long-running
-//! service would), and scores a stream of unseen statements against the
-//! trained network's diffused creator/subject states.
+//! service would), and scores a stream of unseen statements, each as if
+//! it were ingested into the trained graph now, citing one creator and
+//! two subjects; nothing is stored.
 //!
 //! ```sh
 //! cargo run --release --example early_detection
@@ -55,7 +56,7 @@ fn main() {
     ];
     println!("\nscoring unseen statements (creator 0, subjects 0–1):");
     for text in incoming {
-        let p = service.score_new_article(&ctx, text, Some(0), &[0, 1]);
+        let p = service.score_new_article(&ctx, text, Some(0), &[0, 1]).expect("valid neighbours");
         let verdict = if p[1] >= 0.5 { "looks credible" } else { "FLAG: likely fake" };
         println!("  p(credible)={:.3}  {verdict:<18} \"{}…\"", p[1], &text[..46]);
     }

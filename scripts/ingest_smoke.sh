@@ -6,11 +6,14 @@
 # 2. Keep a client hammering /v1/predict while articles, creators and
 #    subjects are ingested through both `fdctl ingest` and raw curl —
 #    every predict across every ingest must be HTTP 200.
-# 3. Ingested nodes must be readable back via predict-by-id and show up
+# 3. One answer per article: /v1/predict of an article, made before it
+#    is ingested, must return byte for byte the probabilities the
+#    ingest then reports for it.
+# 4. Ingested nodes must be readable back via predict-by-id and show up
 #    in /healthz combined counts; hostile payloads must map to 4xx.
-# 4. SIGHUP must discard the ingested overlay (the fast path is a cache
+# 5. SIGHUP must discard the ingested overlay (the fast path is a cache
 #    over the frozen bundle) and ingestion must work again after it.
-# 5. The in-process ingest benchmark runs at a tiny scale, which
+# 6. The in-process ingest benchmark runs at a tiny scale, which
 #    self-asserts the delta-vs-full-recompute bound, that no predict
 #    was dropped, and that the last 1,000 of 10,000 chained ingests
 #    run within 1.5x of the first 1,000.
@@ -59,9 +62,12 @@ done
 base_articles="$(sed -n 's/^corpus: \([0-9]*\) articles.*/\1/p' "$work/serve.log" | head -1)"
 echo "==> serving on $addr (pid $server_pid), $base_articles base articles" >&2
 
-post() { # post <path> <body> — prints the HTTP status code
-    curl -s -o "$work/last_body.json" -w '%{http_code}' -X POST \
+post() { # post <path> <body> [response file] — prints the HTTP status code
+    curl -s -o "${3:-$work/last_body.json}" -w '%{http_code}' -X POST \
         -d "$2" "http://$addr$1"
+}
+probabilities() { # probabilities <file> — a one-node response's probability array
+    sed -n 's/.*"probabilities":\[\([^]]*\)\].*/\1/p' "$1"
 }
 predict_body='{"text":"claim about the budget deficit and medicare","creator":0,"subjects":[0]}'
 [ "$(post /v1/predict "$predict_body")" = "200" ] || {
@@ -79,6 +85,14 @@ echo "==> hammer /v1/predict while ingesting" >&2
 ) &
 load_pid=$!
 
+echo "==> predict the article the next step ingests" >&2
+article='{"text":"fresh claim about the border and the budget","creator":0,"subjects":[0,1]}'
+[ "$(post /v1/predict "$article" "$work/predicted.json")" = "200" ] || {
+    echo "ingest_smoke.sh: predict of the article to ingest failed" >&2
+    cat "$work/predicted.json" >&2
+    exit 1
+}
+
 echo "==> ingest one article through fdctl ingest" >&2
 "$fdctl" ingest --addr "$addr" \
     --text "fresh claim about the border and the budget" \
@@ -86,6 +100,12 @@ echo "==> ingest one article through fdctl ingest" >&2
 grep -q '"articles_total"' "$work/ingest_cli.json" || {
     echo "ingest_smoke.sh: fdctl ingest printed no report" >&2
     cat "$work/ingest_cli.json" >&2
+    exit 1
+}
+predicted="$(probabilities "$work/predicted.json")"
+ingested="$(probabilities "$work/ingest_cli.json")"
+[ -n "$predicted" ] && [ "$predicted" = "$ingested" ] || {
+    echo "ingest_smoke.sh: one article, two answers: predict [$predicted], ingest [$ingested]" >&2
     exit 1
 }
 
@@ -125,6 +145,8 @@ check_status 400 "$(post /v1/ingest '{}')" "empty batch"
 check_status 400 "$(post /v1/ingest 'not json')" "malformed JSON"
 check_status 400 "$(post /v1/ingest '{"articles":[{"text":"x","creator":999999}]}')" \
     "creator out of range"
+check_status 400 "$(post /v1/predict '{"text":"x","creator":0,"subjects":[1,0,1]}')" \
+    "predict listing a subject twice"
 big='{"creators":[{"profile":"a"},{"profile":"b"},{"profile":"c"},{"profile":"d"},{"profile":"e"},{"profile":"f"},{"profile":"g"},{"profile":"h"},{"profile":"i"}]}'
 check_status 413 "$(post /v1/ingest "$big")" "batch over --max-ingest-nodes"
 check_status 405 "$(curl -s -o "$work/last_body.json" -w '%{http_code}' "http://$addr/v1/ingest")" \

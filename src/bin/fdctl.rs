@@ -206,6 +206,9 @@ fn cmd_train(opts: &HashMap<String, String>) -> Result<(), String> {
     let theta: f64 = opt_parse(opts, "theta", 1.0)?;
     let seed: u64 = opt_parse(opts, "seed", 42)?;
     let epochs: usize = opt_parse(opts, "epochs", 60)?;
+    if epochs == 0 {
+        return Err("--epochs must be at least 1".into());
+    }
     let explicit_dim: usize = opt_parse(opts, "explicit-dim", 60)?;
     let seq_len: usize = opt_parse(opts, "seq-len", 12)?;
     let max_vocab: usize = opt_parse(opts, "max-vocab", 6000)?;
@@ -444,7 +447,7 @@ fn cmd_score(opts: &HashMap<String, String>) -> Result<(), String> {
         mode,
         seed: 0,
     };
-    let probs = trained.score_new_article(&ctx, text, creator, &subjects);
+    let probs = trained.score_new_article(&ctx, text, creator, &subjects)?;
     match mode {
         LabelMode::Binary => {
             println!("p(credible) = {:.4}, p(fake) = {:.4}", probs[1], probs[0]);

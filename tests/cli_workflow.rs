@@ -70,6 +70,22 @@ fn full_cli_workflow() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("p(credible)"), "unexpected score output: {stdout}");
 
+    // Neighbours outside the corpus are reported, not a panic.
+    let bad = [("--creator", "999999", "creator 999999"), ("--subjects", "0,99999", "subject 99999")];
+    for (flag, value, named) in bad {
+        let out = fdctl()
+            .args(["score", "--corpus"])
+            .arg(&corpus)
+            .args(["--model"])
+            .arg(&model)
+            .args(["--text", "federal budget report", flag, value])
+            .output()
+            .expect("run fdctl score");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "score {flag} {value}: {stderr}");
+        assert!(stderr.contains(named), "score {flag} {value}: {stderr}");
+    }
+
     // evaluate held-out entities
     let out = fdctl()
         .args(["evaluate", "--corpus"])
@@ -111,6 +127,17 @@ fn cli_reports_errors_cleanly() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+
+    // Zero epochs, refused before a corpus is generated.
+    let out = fdctl()
+        .args(["train", "--scale", "0.02", "--epochs", "0", "--out"])
+        .arg(tmp("never-written.json"))
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--epochs must be at least 1"), "{stderr}");
+    assert!(!stderr.contains("generated synthetic corpus"), "{stderr}");
 }
 
 #[test]
